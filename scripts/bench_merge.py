@@ -5,7 +5,7 @@ Two phases over the Zipf-skewed update-heavy scenario
 (:func:`repro.workloads.scenarios.build_zipf_update_scenario`):
 
 * **identity** — the same seeded workload replayed across merge
-  overlay/row x engines row/vectorized x workers 1/4 x shards 1/4 must
+  overlay/row x engines row/vectorized x shards 1/4 must
   produce identical rows, ledger bytes/ops (seconds to the identity
   grain), merge stats and non-cache counters.  The only counters allowed
   to differ across *merge modes* are the strategy-attribution pair
@@ -55,11 +55,10 @@ def sharded_ddl(table, shards, rows_per_file, stripe_rows):
 
 
 # ----------------------------------------------------------------------
-# Phase 1: merge-mode / engine / workers / shards identity.
+# Phase 1: merge-mode / engine / shards identity.
 # ----------------------------------------------------------------------
-def run_identity_config(merge, engine, workers, shards, rows):
-    session = HiveSession(profile=ClusterProfile.laptop(workers=workers),
-                          engine=engine)
+def run_identity_config(merge, engine, shards, rows):
+    session = HiveSession(profile=ClusterProfile.laptop(), engine=engine)
     session.execute("SET dualtable.merge = %s" % merge)
     scenario = build_zipf_update_scenario(
         rows=rows, updates=6, deletes=2, scans=3, keys_per_stmt=12,
@@ -84,10 +83,9 @@ def run_identity_config(merge, engine, workers, shards, rows):
 
 
 def identity_phase(args, failures):
-    configs = [(merge, engine, workers, shards)
+    configs = [(merge, engine, shards)
                for merge in ("overlay", "row")
                for engine in ("row", "vectorized")
-               for workers in (1, 4)
                for shards in (1, 4)]
     start = time.perf_counter()
     baseline, _ = run_identity_config(*configs[0],
@@ -108,12 +106,11 @@ def identity_phase(args, failures):
         ok = not parts
         if not ok:
             failures.append(
-                "identity broken at merge=%s engine=%s workers=%d "
-                "shards=%d: %s differ" % (*config, ", ".join(parts)))
+                "identity broken at merge=%s engine=%s shards=%d: "
+                "%s differ" % (*config, ", ".join(parts)))
         checked.append({"merge": config[0], "engine": config[1],
-                        "workers": config[2], "shards": config[3],
-                        "identical": ok})
-        print("identity merge=%-8s engine=%-10s workers=%d shards=%d %s"
+                        "shards": config[2], "identical": ok})
+        print("identity merge=%-8s engine=%-10s shards=%d %s"
               % (*config, "OK" if ok else "MISMATCH"))
     return {"configs": checked,
             "statements": 11,
@@ -263,7 +260,7 @@ def main(argv=None):
         "wallclock": wallclock_phase(args, failures),
         "contract": "rows, ledger bytes/ops, merge stats and non-cache "
                     "counters byte-identical across merge overlay/row x "
-                    "engines x workers 1/4 x shards 1/4",
+                    "engines x shards 1/4",
     }
     report["failures"] = failures
     with open(args.out, "w") as fh:

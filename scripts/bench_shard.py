@@ -4,11 +4,11 @@
 Three phases over ``SHARDED BY (k) INTO n`` DualTables:
 
 * **identity** — one mixed scan/DML/point workload replayed at shards
-  1/4/8 x workers 1/4 x engines row/vectorized must produce identical
+  1/4/8 x engines row/vectorized must produce identical
   rows, ledger bytes/ops (seconds to the identity grain) and non-cache
   counters (the :mod:`repro.shard.identity` fingerprint — the same gate
   ``tests/test_shard.py`` enforces);
-* **speedup** — full-table scans at 4 shards with ``workers=4`` must
+* **speedup** — full-table scans at 4 shards must
   finish in at most 1/``--min-speedup`` of the 1-shard simulated time
   (scatter-gather widens map slots by the shard fan-out);
 * **routing** — every seeded PRIMARY-KEY point query under ``SET
@@ -49,10 +49,8 @@ IDENTITY_WORKLOAD = [
 ]
 
 
-def build_session(shards, rows, workers=1, engine="row",
-                  rows_per_file=50):
-    session = HiveSession(profile=ClusterProfile.laptop(workers=workers),
-                          engine=engine)
+def build_session(shards, rows, engine="row", rows_per_file=50):
+    session = HiveSession(profile=ClusterProfile.laptop(), engine=engine)
     session.execute(
         "CREATE TABLE t (k int, grp string, v int) PRIMARY KEY (k) "
         "STORED AS dualtable SHARDED BY (k) INTO %d "
@@ -66,9 +64,8 @@ def build_session(shards, rows, workers=1, engine="row",
 # ----------------------------------------------------------------------
 # Phase 1: shard-count identity.
 # ----------------------------------------------------------------------
-def run_identity_config(shards, workers, engine, rows):
-    session = build_session(shards, rows, workers=workers, engine=engine,
-                            rows_per_file=10)
+def run_identity_config(shards, engine, rows):
+    session = build_session(shards, rows, engine=engine, rows_per_file=10)
     transcript = []
     for template in IDENTITY_WORKLOAD:
         sql = template % {"hi": int(rows * 0.8)} \
@@ -79,9 +76,8 @@ def run_identity_config(shards, workers, engine, rows):
 
 
 def identity_phase(args, failures):
-    configs = [(shards, workers, engine)
+    configs = [(shards, engine)
                for shards in (1, 4, 8)
-               for workers in (1, 4)
                for engine in ("row", "vectorized")]
     start = time.perf_counter()
     baseline = run_identity_config(*configs[0], args.identity_rows)
@@ -93,12 +89,11 @@ def identity_phase(args, failures):
                  if a != b]
         ok = not parts
         if not ok:
-            failures.append("identity broken at shards=%d workers=%d "
-                            "engine=%s: %s differ"
-                            % (*config, ", ".join(parts)))
-        checked.append({"shards": config[0], "workers": config[1],
-                        "engine": config[2], "identical": ok})
-        print("identity shards=%d workers=%d engine=%-10s %s"
+            failures.append("identity broken at shards=%d engine=%s: "
+                            "%s differ" % (*config, ", ".join(parts)))
+        checked.append({"shards": config[0], "engine": config[1],
+                        "identical": ok})
+        print("identity shards=%d engine=%-10s %s"
               % (*config, "OK" if ok else "MISMATCH"))
     return {"configs": checked,
             "statements": len(IDENTITY_WORKLOAD),
@@ -117,7 +112,7 @@ def speedup_phase(args, failures):
     sim_by_shards = {}
     rows_by_shards = {}
     for shards in (1, 4, 8):
-        session = build_session(shards, args.rows, workers=4)
+        session = build_session(shards, args.rows)
         sim = 0.0
         transcript = []
         for sql in scans:
@@ -126,8 +121,7 @@ def speedup_phase(args, failures):
             transcript.append(result.rows)
         sim_by_shards[shards] = sim
         rows_by_shards[shards] = transcript
-        print("scan shards=%d workers=4: %.3f simulated seconds"
-              % (shards, sim))
+        print("scan shards=%d: %.3f simulated seconds" % (shards, sim))
     if rows_by_shards[4] != rows_by_shards[1] \
             or rows_by_shards[8] != rows_by_shards[1]:
         failures.append("speedup phase: scan rows diverge across shards")
@@ -150,7 +144,7 @@ def speedup_phase(args, failures):
 # ----------------------------------------------------------------------
 def routing_phase(args, failures):
     start = time.perf_counter()
-    session = build_session(4, args.rows, workers=4)
+    session = build_session(4, args.rows)
     handler = session.metastore.table("t").handler
     metrics = session.cluster.metrics
     session.execute("SET dualtable.plan = lookup")

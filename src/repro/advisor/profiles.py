@@ -12,7 +12,7 @@ the maintenance daemon advances from the same counters anyway — the
 collector is idempotent over unchanged counter values).
 
 Determinism: every input is a registry counter/histogram (byte-identical
-across worker counts and engines, PR-3/PR-5) or static handler
+across engines) or static handler
 configuration, so two identical workloads yield identical profiles.
 """
 

@@ -16,8 +16,7 @@ import time
 
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.report import render
-from repro.bench.runners import (SCALES, profiled_experiment, set_engine,
-                                 set_workers)
+from repro.bench.runners import SCALES, profiled_experiment, set_engine
 
 
 def build_parser():
@@ -41,11 +40,6 @@ def build_parser():
                              "trace-event format, load in about:tracing "
                              "or Perfetto) plus DIR/<experiment>"
                              ".metrics.json")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker threads for real execution (wall "
-                             "clock only; simulated output is identical "
-                             "for any value; default: 1). Ignored under "
-                             "--profile, which requires serial tracing.")
     parser.add_argument("--engine", choices=("row", "vectorized"),
                         default=None,
                         help="execution engine (wall clock only; "
@@ -69,8 +63,6 @@ def main(argv=None):
                   file=sys.stderr)
             return 2
         names = [args.experiment]
-    workers = max(1, args.workers)
-    set_workers(1 if args.profile else workers)
     set_engine(args.engine)
     for name in names:
         started = time.time()
@@ -80,9 +72,8 @@ def main(argv=None):
         else:
             result = EXPERIMENTS[name](scale=args.scale)
         print(render(result))
-        print("(regenerated in %.1fs wall time at scale=%s, workers=%d)\n"
-              % (time.time() - started, args.scale,
-                 1 if args.profile else workers))
+        print("(regenerated in %.1fs wall time at scale=%s)\n"
+              % (time.time() - started, args.scale))
         if args.csv:
             write_csv(result, args.csv)
         if args.svg:

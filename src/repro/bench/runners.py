@@ -41,19 +41,9 @@ SCALES = {
                          grid_fraction=2.5e-4),
 }
 
-#: wall-clock worker threads for every bench session (``--workers``).
-#: Simulated output is byte-identical for any value (repro.parallel).
-WORKERS = 1
-
 #: execution engine for every bench session (``--engine``); None keeps
 #: the session default.  Simulated output is byte-identical either way.
 ENGINE = None
-
-
-def set_workers(workers):
-    """Set the pool width used by every subsequently built session."""
-    global WORKERS
-    WORKERS = max(1, int(workers))
 
 
 def set_engine(engine):
@@ -85,7 +75,6 @@ def bench_profile(name="bench"):
         shuffle_bps=0.2 * GB,
         job_startup_s=8.0,
         task_overhead_s=1.0,
-        workers=WORKERS,
     )
 
 

@@ -20,14 +20,13 @@ can emulate paper-sized datasets with laptop-sized data (see
 :mod:`repro.cluster.profile`).
 """
 
-import threading
 from contextlib import contextmanager
 
 from repro.cluster.clock import SimClock
 from repro.cluster.ledger import Charge, MetricsLedger
 from repro.cluster.profile import ClusterProfile
 from repro.faults import FaultInjector
-from repro.parallel import ByteBudgetLRU, TaskRecorder, WorkerPool
+from repro.parallel import ByteBudgetLRU, TaskRecorder
 from repro import obs
 
 
@@ -48,12 +47,11 @@ class Cluster:
         #: profiling collector is active — see repro.obs.profiling).
         self.tracer = obs.Tracer(self)
         self.faults.on_fire = self._record_fault
-        #: thread-local capture stack for the parallel engine: while a
-        #: TaskRecorder is pushed, this thread's charges and metric
-        #: events are buffered instead of applied (see repro.parallel).
-        self._capture = threading.local()
+        #: capture stack: while a TaskRecorder is pushed, charges and
+        #: metric events are buffered instead of applied (see
+        #: repro.parallel).
+        self._capture = []
         self.metrics.bind_capture(self._capture)
-        self._pool = None
         #: wall-clock caches; contents never change simulated charges
         #: (hits replay the same charges a miss records).
         self.orc_cache = ByteBudgetLRU(
@@ -82,45 +80,30 @@ class Cluster:
             self.ledger.pop_scope(scope)
 
     # ------------------------------------------------------------------
-    # Capture/replay (the parallel engine's determinism protocol).
+    # Capture/replay (cache hits replay the charges of the miss).
     # ------------------------------------------------------------------
     @contextmanager
-    def capture(self, recorder=None):
-        """Buffer this thread's charges/metrics into a TaskRecorder.
+    def capture(self):
+        """Buffer charges/metrics into a fresh TaskRecorder.
 
-        Capture stacks nest per thread; replaying a recorder while an
-        outer capture is active bubbles its contents into the outer
-        recorder (see :mod:`repro.parallel.recorder`).
+        Captures nest; replaying a recorder while an outer capture is
+        active bubbles its contents into the outer recorder (see
+        :mod:`repro.parallel.recorder`).
         """
-        recorder = recorder or TaskRecorder()
-        stack = getattr(self._capture, "stack", None)
-        if stack is None:
-            stack = self._capture.stack = []
-        stack.append(recorder)
+        recorder = TaskRecorder()
+        self._capture.append(recorder)
         try:
             yield recorder
         finally:
-            stack.pop()
+            self._capture.pop()
 
     def record_charge(self, charge):
         """Apply one charge: to the active capture, else the ledger."""
-        stack = getattr(self._capture, "stack", None)
-        if stack:
-            stack[-1].add_charge(charge)
+        if self._capture:
+            self._capture[-1].add_charge(charge)
         else:
             self.ledger.record(charge)
         return charge
-
-    @property
-    def pool(self):
-        """The cluster's worker pool, sized to ``profile.workers``."""
-        workers = max(1, int(getattr(self.profile, "workers", 1)))
-        pool = self._pool
-        if pool is None or pool.workers != workers:
-            if pool is not None:
-                pool.close()
-            pool = self._pool = WorkerPool(workers)
-        return pool
 
     # ------------------------------------------------------------------
     # Generic charging.

@@ -67,12 +67,12 @@ class ClusterProfile:
     #: the job's median task duration.
     speculative_threshold: float = 3.0
 
-    # Real-parallelism knobs (repro.parallel): how many OS threads
-    # execute task attempts concurrently, plus the byte budgets of the
-    # wall-clock caches.  None of these change any simulated quantity —
-    # results, ledger charges and sim_seconds are byte-identical for
-    # every ``workers`` value and cache state (docs/INTERNALS.md §6).
+    # Execution threads: always 1 (execution is serial; the simulated
+    # cluster's parallelism lives in the slot model above).  Kept as a
+    # field so recorded run configurations stay readable.
     workers: int = 1
+    # Byte budgets of the wall-clock caches (repro.parallel).  Cache
+    # state never changes a simulated quantity (docs/INTERNALS.md §6).
     orc_cache_bytes: int = 64 * MB
     delta_cache_bytes: int = 16 * MB
 
@@ -81,6 +81,11 @@ class ClusterProfile:
     op_scale: float = 1.0
 
     extra: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.workers != 1:
+            raise ValueError("workers must be 1 (execution is serial), "
+                             "got %r" % (self.workers,))
 
     @property
     def total_map_slots(self):

@@ -85,8 +85,8 @@ class AttachedTable:
 
     def ensure_available(self):
         """Run any pending WAL recovery now (and charge it), so later
-        reads — possibly on pool workers, or under cache capture — see a
-        recovered store without racing on the replay."""
+        reads — cache fills under capture included — see a recovered
+        store and never record the replay charge into a cache entry."""
         if self.backend == "hbase":
             self._service.ensure_available()
 

@@ -114,9 +114,7 @@ class EditBatch:
         """Adopt a *successful* task attempt's buffered edits.
 
         Keyed by ``task_index`` so the statement's edit order is the
-        task order regardless of how attempts interleave on the worker
-        pool — and so a serial rerun after an abandoned parallel attempt
-        *overwrites* rather than duplicates a task's edits.
+        task order.
         """
         edits = list(buffer.edits)
         with self._lock:

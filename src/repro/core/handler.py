@@ -34,7 +34,6 @@ from repro.core.record_id import RECORD_ID_BYTES
 from repro.core.udtf import delete_udtf, update_udtf
 from repro.core.union_read import (classify_merge_units, union_read_batches,
                                    union_read_file, union_read_overlay)
-from repro.parallel import parallel_map
 
 #: per-assignment Attached-Table payload estimate: 3-byte qualifier +
 #: ~10-byte encoded value + cell overhead.
@@ -225,9 +224,8 @@ class DualTableHandler(StorageHandler):
     def scan_splits(self, projection=None, ranges=None):
         self._check_not_compacting()
         self._ensure_recovered()
-        # Recover the Attached store up front: the per-file fan-out below
-        # may run on pool workers, and a WAL replay must happen (and be
-        # charged) exactly once, before any of them look at key ranges.
+        # Recover the Attached store up front, so a pending WAL replay is
+        # charged once, before any split below looks at key ranges.
         self.attached.ensure_available()
         # Per-table read counter: the maintenance stats collector derives
         # the read horizon from the scans-vs-DML mix.
@@ -246,11 +244,10 @@ class DualTableHandler(StorageHandler):
                 size_bytes=reader.projected_bytes(projection_list),
                 label=path)
 
-        splits = parallel_map(self.env.cluster, split_for,
-                              self.master.file_paths())
+        splits = [split_for(path) for path in self.master.file_paths()]
         # Workload-profile hook: per-table scanned-bytes histogram (the
         # advisor's "bytes read" axis).  Split sizes are control-plane
-        # metadata, identical for any worker count or engine.
+        # metadata, identical for either engine.
         self.env.cluster.metrics.observe(
             "dualtable.scan_bytes.%s" % self.table.name,
             sum(split.size_bytes for split in splits))
@@ -291,8 +288,8 @@ class DualTableHandler(StorageHandler):
 
         The unit grid is per *stripe* — control-plane arithmetic over
         footer spans and delta positions, so the counts are
-        byte-identical across engines, workers, shards and the
-        batch-size knob.  Dirty units are attributed to the configured
+        byte-identical across engines, shards and the batch-size
+        knob.  Dirty units are attributed to the configured
         merge strategy (``batches_overlay`` vs ``batches_row_fallback``);
         the row *engine* reports the same classification the batch
         engine would, keeping the cross-engine counter contract.

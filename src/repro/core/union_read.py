@@ -343,7 +343,7 @@ def classify_merge_units(spans, positions):
     row numbers.  A unit any delta position falls into is *dirty* (the
     merge strategy must do per-delta work there); the rest stream
     through the fast path.  Pure control-plane arithmetic: no charges,
-    byte-identical across engines, workers and shards.
+    byte-identical across engines and shards.
     """
     fast = 0
     dirty = 0

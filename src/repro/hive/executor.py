@@ -500,7 +500,7 @@ class SelectExecutor:
             def map_fn(split, ctx):
                 # Same NULL-key sentinel scheme as the row path below:
                 # (task_index, local_i) in reader order, so both engines
-                # and any pool width assign identical sentinels.
+                # assign identical sentinels.
                 side, inner = split.payload
                 reader, key_bexprs, outer = sides[side]
                 local_i = 0
@@ -522,9 +522,8 @@ class SelectExecutor:
 
             def map_fn(split, ctx):
                 # NULL-key sentinels are unique per row so null keys never
-                # group; keyed by (task_index, local_i) — not a shared
-                # counter — so key assignment is identical however map
-                # tasks interleave on the worker pool.
+                # group; keyed by (task_index, local_i) so key assignment
+                # is a function of the splits alone.
                 side, inner = split.payload
                 local_i = 0
                 if side == "L":

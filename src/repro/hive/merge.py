@@ -287,10 +287,8 @@ def _merge_hbase(session, info, stmt, target_alias, target_keys,
             handler.update_row(rowkey, new_values)
         return ()
 
-    # In-place writes during the map phase: keep off the worker pool so
-    # HBase timestamp allocation follows split order.
     job = Job(name="merge-hbase", splits=splits, map_fn=map_fn,
-              reduce_fn=None, properties={"parallel": False})
+              reduce_fn=None)
     result = session.runner.run(job)
     jobs = session._dml_subquery_jobs + [result]
     sub = sum(j.sim_seconds for j in session._dml_subquery_jobs)
@@ -346,10 +344,8 @@ def _merge_dualtable(session, info, stmt, target_alias, target_keys,
             update_udtf(attached, record_id, new_values, ctx)
         return ()
 
-    # update_udtf writes straight into the Attached Table from the map
-    # phase (no staging buffer), so put order must follow split order.
     job = Job(name="merge-edit", splits=splits, map_fn=map_fn,
-              reduce_fn=None, properties={"parallel": False})
+              reduce_fn=None)
     result = session.runner.run(job)
     jobs = session._dml_subquery_jobs + [result]
     sub = sum(j.sim_seconds for j in session._dml_subquery_jobs)

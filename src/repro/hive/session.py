@@ -221,7 +221,7 @@ class HiveSession:
         if self._stmt_depth == 0:
             # Latency histograms observe *simulated* seconds, so the
             # distributions (and the advisor reading them) are identical
-            # across workers=N and engine=row/vectorized.
+            # across engine=row/vectorized.
             self.cluster.metrics.observe("statement.seconds",
                                          result.sim_seconds)
             self.cluster.metrics.observe("statement.seconds.%s" % verb,
@@ -765,10 +765,8 @@ class HiveSession:
                 handler.update_row(rowkey, new_values)
             return ()
 
-        # In-place writes: HBase timestamp allocation must follow split
-        # order, so this job never runs on the worker pool.
         job = Job(name="update-hbase", splits=splits, map_fn=map_fn,
-                  reduce_fn=None, properties={"parallel": False})
+                  reduce_fn=None)
         result = self.runner.run(job)
         jobs = self._dml_subquery_jobs + [result]
         sub_seconds = sum(j.sim_seconds for j in self._dml_subquery_jobs)
@@ -796,7 +794,7 @@ class HiveSession:
             return ()
 
         job = Job(name="delete-hbase", splits=splits, map_fn=map_fn,
-                  reduce_fn=None, properties={"parallel": False})
+                  reduce_fn=None)
         result = self.runner.run(job)
         jobs = self._dml_subquery_jobs + [result]
         sub_seconds = sum(j.sim_seconds for j in self._dml_subquery_jobs)

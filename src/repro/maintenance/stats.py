@@ -10,8 +10,8 @@ an exponentially weighted moving average of the observed reads-per-DML
 mix.
 
 Counter deltas are observed at daemon tick time, after all jobs of the
-triggering statement completed, so the derived stats are deterministic
-for any worker count (PR 3's capture-replay makes the counters so).
+triggering statement completed, so the derived stats are a function
+of the workload alone.
 """
 
 

@@ -21,20 +21,6 @@ Fault tolerance mirrors Hadoop's task layer:
 
 Injection points: ``mapreduce.map`` / ``mapreduce.reduce`` fire at the
 start of every task attempt.
-
-Parallel execution (``profile.workers > 1``): task attempts run
-concurrently on the cluster's worker pool, each charging into a private
-:class:`~repro.parallel.TaskRecorder`; the coordinator then replays the
-recorders **in task order** inside per-task cost scopes, so results,
-ledger charges and ``sim_seconds`` are byte-identical to the serial
-path (docs/INTERNALS.md §6).  The pool is bypassed whenever semantics
-are defined by global serial order: an active fault plan (faults fire on
-global hit counts), an enabled tracer (span nesting), jobs marked
-``properties={"parallel": False}`` (map functions that mutate shared
-state in place, e.g. the HBase baselines), or any worker-thread failure
-(the serial retry machinery then reruns the job from scratch — captured
-charges from the abandoned parallel attempt are discarded, never
-applied).
 """
 
 import heapq
@@ -44,7 +30,6 @@ from repro.common.errors import FaultInjectedError, TaskFailedError
 from repro.common.retry import RetryPolicy
 from repro.mapreduce.job import (JobResult, TaskContext,
                                  estimate_record_bytes, stable_hash)
-from repro.parallel import in_worker
 
 
 def _makespan(durations, slots):
@@ -205,66 +190,16 @@ class JobRunner:
         raise AssertionError("unreachable: final attempt raises")
 
     # ------------------------------------------------------------------
-    # Task dispatch: parallel capture/replay, or the serial retry loop.
+    # Task dispatch: the serial retry loop, in spec order.
     # ------------------------------------------------------------------
     def _execute_tasks(self, job, task_type, specs, counters):
         """Run ``(index, attempt_fn, describe)`` specs to completion.
 
         Returns ``[(output, base, penalty, ctx), ...]`` in spec order.
         """
-        results = self._try_parallel(job, task_type, specs)
-        if results is None:
-            results = [
-                self._run_attempts(job, task_type, index, attempt_fn,
+        return [self._run_attempts(job, task_type, index, attempt_fn,
                                    counters, describe)
                 for index, attempt_fn, describe in specs]
-        return results
-
-    def _try_parallel(self, job, task_type, specs):
-        """Run all specs concurrently; None means "use the serial path".
-
-        Workers execute the attempt functions under per-task capture; the
-        coordinator then replays each task's recorder in task order inside
-        the same span/scope structure the serial path builds, so ledger
-        contents, scope attribution and task durations are byte-identical.
-        If any worker raised, every recorder is discarded unapplied and
-        the caller reruns serially — the retry machinery then observes the
-        exact charge sequence it would have seen without a pool.
-        """
-        cluster = self.cluster
-        pool = cluster.pool
-        if (len(specs) <= 1 or not pool.parallel or in_worker()
-                or not job.properties.get("parallel", True)
-                or cluster.faults.armed or cluster.tracer.enabled):
-            return None
-
-        def make_thunk(index, attempt_fn):
-            def thunk():
-                ctx = TaskContext(cluster, task_type, index)
-                with cluster.capture() as recorder:
-                    output = attempt_fn(ctx)
-                return output, recorder, ctx
-            return thunk
-
-        outcomes = pool.map([make_thunk(index, attempt_fn)
-                             for index, attempt_fn, _ in specs])
-        if any(outcome.error is not None for outcome in outcomes):
-            return None
-        profile = cluster.profile
-        results = []
-        for (index, _, _), outcome in zip(specs, outcomes):
-            output, recorder, ctx = outcome.value
-            scope_label = "%s-%d.%d" % (task_type, index, 1)
-            with cluster.tracer.span(
-                    "task", scope_label, job=job.name, task_type=task_type,
-                    task=index, attempt=1) as span:
-                with cluster.cost_scope(scope_label) as scope:
-                    recorder.replay(cluster)
-                base = scope.parallel_seconds + profile.task_overhead_s
-                span.annotate(outcome="ok", base_seconds=round(base, 6),
-                              penalty_seconds=0.0)
-            results.append((output, base, 0.0, ctx))
-        return results
 
     def _finish_durations(self, entries, counters):
         """(base, penalty) pairs -> per-task durations, with speculation.

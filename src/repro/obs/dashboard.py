@@ -14,9 +14,9 @@ Two artifacts from one :func:`advisor_document`:
 
 Determinism contract: the document is a pure function of registry
 state, handler configuration and the virtual clock — it contains no
-wall-clock timestamps, no worker count, no engine name — and the JSON
-serialization sorts keys, so a fixed seed yields byte-identical
-artifacts across runs, ``workers=1/4`` and ``engine=row/vectorized``.
+wall-clock timestamps, no engine name — and the JSON serialization
+sorts keys, so a fixed seed yields byte-identical artifacts across runs
+and ``engine=row/vectorized``.
 """
 
 import json
@@ -61,10 +61,10 @@ def advisor_document(session, findings=None, series=None, workload=None):
         "findings": [finding.as_dict() for finding in findings],
         "histograms": {name: snapshot["histograms"][name]
                        for name in sorted(snapshot["histograms"])},
-        # The wall-clock caches are the one knowingly nondeterministic
-        # corner of the registry (hit/miss depends on thread timing, see
-        # INTERNALS §6) — their counters stay out of the document so the
-        # byte-identical guarantee holds across worker counts.
+        # The wall-clock caches are the one corner of the registry that
+        # depends on cache state rather than on the workload (INTERNALS
+        # §6) — their counters stay out of the document so the
+        # byte-identical guarantee holds across engines and budgets.
         "counters": {name: snapshot["counters"][name]
                      for name in sorted(snapshot["counters"])
                      if not name.startswith("cache.")},

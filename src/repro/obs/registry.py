@@ -14,9 +14,8 @@ Metric names are dotted paths (``dualtable.plan.edit``,
 Thread safety: all uncaptured mutations take a registry-wide lock.  A
 bare ``defaultdict[name] += 1`` is a read-modify-write that loses
 updates under preemption, which showed up once the server admitted many
-sessions against one cluster (the PR-3 join NULL-key sentinel was the
-same class of bug).  The capture path needs no lock — capture buffers
-are thread-local by construction.
+sessions against one cluster.  Captured events go to the cluster's
+capture stack instead (see :mod:`repro.parallel.recorder`).
 """
 
 import math
@@ -28,7 +27,7 @@ from collections import defaultdict
 #: Fixed for the life of the metric format — quantile estimates are a
 #: pure function of the bucket counts, so any two runs that observe the
 #: same multiset of values report byte-identical p50/p95/p99 regardless
-#: of observation order, worker count or execution engine.
+#: of observation order or execution engine.
 _BUCKETS_PER_DECADE = 5
 
 
@@ -161,21 +160,17 @@ class MetricsRegistry:
         self.gauges = {}
         self.histograms = {}
         self._lock = threading.Lock()
-        #: optional thread-local capture stack shared with the owning
-        #: cluster (repro.parallel): while a recorder is pushed on the
-        #: calling thread, events are buffered instead of applied so a
-        #: parallel task's metrics can be replayed in task order.
-        self._capture_tls = None
+        #: optional capture stack shared with the owning cluster
+        #: (repro.parallel): while a recorder is pushed, events are
+        #: buffered instead of applied so they can be replayed later.
+        self._capture = None
 
-    def bind_capture(self, tls):
-        """Share the cluster's thread-local capture stack."""
-        self._capture_tls = tls
+    def bind_capture(self, stack):
+        """Share the cluster's capture stack (a list of recorders)."""
+        self._capture = stack
 
     def _capture_buffer(self):
-        tls = self._capture_tls
-        if tls is None:
-            return None
-        stack = getattr(tls, "stack", None)
+        stack = self._capture
         return stack[-1] if stack else None
 
     # ------------------------------------------------------------------
@@ -214,8 +209,8 @@ class MetricsRegistry:
     def replay(self, events):
         """Apply captured ``(kind, name, value)`` events in order.
 
-        Respects any capture active on the *calling* thread, so nested
-        replays bubble out one level at a time (see repro.parallel).
+        Respects any active capture, so nested replays bubble out one
+        level at a time (see repro.parallel).
         """
         buffer = self._capture_buffer()
         if buffer is not None:

@@ -1,78 +1,21 @@
-"""Parallel execution and caching: real wall-clock speed, simulated time.
+"""Wall-clock caching with simulated-charge replay.
 
-This package gives the reproduction its first *real* multi-core
-wall-clock wins while leaving every simulated quantity byte-identical:
-
-* :class:`WorkerPool` — a thread-backed pool that runs map/reduce task
-  attempts (and per-file UNION READ fan-out) concurrently.  Determinism
-  is preserved by the capture/replay protocol: each task charges into a
-  private :class:`TaskRecorder` instead of the global ledger, and the
-  coordinator replays the recorders *in task order*, producing exactly
-  the sequence of ``ledger.record`` calls the serial path produces.
-* :class:`TaskRecorder` — the per-task capture buffer for ledger charges
-  and metric events.
 * :class:`ByteBudgetLRU` — a byte-budgeted LRU used for the ORC
   footer/stripe cache and the Attached-Table delta-range cache.  Cache
   hits skip the *real* CPU work (footer parse, stream decode, HBase
   scan) but replay the same simulated charges a miss records, so the
   cost model, figures and ``sim_seconds`` never depend on cache state.
-* :func:`parallel_map` — ordered fan-out of a side-effect-free function
-  over items through a cluster's pool, with capture/replay accounting.
+* :class:`TaskRecorder` — the capture buffer behind that replay: while
+  :meth:`repro.cluster.Cluster.capture` is active, ledger charges and
+  metric events land in the recorder instead of being applied, and
+  :meth:`TaskRecorder.replay` later issues exactly the same sequence of
+  ``ledger.record`` / ``metrics`` calls.
 
-See docs/INTERNALS.md §6 for the determinism argument and the cache
+See docs/INTERNALS.md §6 for the replay argument and the cache
 invalidation rules.
 """
 
 from repro.parallel.cache import ByteBudgetLRU
-from repro.parallel.pool import TaskOutcome, WorkerPool, in_worker
 from repro.parallel.recorder import TaskRecorder
 
-__all__ = [
-    "ByteBudgetLRU",
-    "TaskOutcome",
-    "TaskRecorder",
-    "WorkerPool",
-    "in_worker",
-    "parallel_map",
-]
-
-
-def parallel_map(cluster, fn, items):
-    """Apply ``fn`` to every item, fanning out through ``cluster.pool``.
-
-    Results come back in item order and all simulated charges/metrics
-    are replayed in item order, so the outcome is byte-identical to
-    ``[fn(item) for item in items]``.  ``fn`` must be side-effect free
-    apart from cluster charges/metrics: if any call raises, nothing is
-    replayed and the whole list is re-run inline (charges then flow
-    directly, exactly as the serial path).
-
-    Falls back to the inline loop when the pool is serial, the item list
-    is trivial, the calling thread is already a pool worker, or faults /
-    tracing are active (both are defined in terms of global serial
-    order).
-    """
-    items = list(items)
-    pool = cluster.pool
-    if (len(items) <= 1 or not pool.parallel or in_worker()
-            or cluster.faults.armed or cluster.tracer.enabled):
-        return [fn(item) for item in items]
-
-    def make_thunk(item):
-        def thunk():
-            with cluster.capture() as recorder:
-                value = fn(item)
-            return value, recorder
-        return thunk
-
-    outcomes = pool.map([make_thunk(item) for item in items])
-    if any(outcome.error is not None for outcome in outcomes):
-        # Nothing was replayed; the inline re-run charges normally and
-        # raises the original error deterministically.
-        return [fn(item) for item in items]
-    results = []
-    for outcome in outcomes:
-        value, recorder = outcome.value
-        recorder.replay(cluster)
-        results.append(value)
-    return results
+__all__ = ["ByteBudgetLRU", "TaskRecorder"]

@@ -10,8 +10,8 @@ Cache *contents* never influence simulated time — hits replay the same
 charges a miss records (callers enforce this; see
 :mod:`repro.parallel`) — so the only observable difference a cache makes
 is wall-clock speed plus the ``cache.<name>.*`` counters, which are
-explicitly excluded from determinism comparisons (thread interleaving
-can turn one miss into two concurrent misses).
+explicitly excluded from determinism comparisons (they depend on cache
+budgets and on what earlier reads left behind).
 
 Invalidation is by key prefix: keys are tuples whose first element is a
 group tag (an HDFS path or an Attached-Table name), so a whole table's

@@ -1,24 +1,23 @@
-"""Per-task capture of ledger charges and metric events.
+"""Capture of ledger charges and metric events for later replay.
 
-The capture/replay protocol is what makes parallel execution
-deterministic: a worker thread never touches the global ledger or the
-metrics registry directly.  Instead, :meth:`repro.cluster.Cluster.capture`
-pushes a :class:`TaskRecorder` onto a *thread-local* stack; every charge
-and metric event the thread produces while the recorder is active is
-appended to it.  The coordinator then calls :meth:`TaskRecorder.replay`
-for each task **in task order**, which issues exactly the sequence of
-``ledger.record`` / ``metrics.incr`` calls the serial path would have
-issued — same floats, same order, same scope attribution.
+:meth:`repro.cluster.Cluster.capture` pushes a :class:`TaskRecorder`
+onto the cluster's capture stack; every charge and metric event produced
+while the recorder is on top is appended to it instead of being applied.
+:meth:`TaskRecorder.replay` then issues exactly the sequence of
+``ledger.record`` / ``metrics.incr`` calls that were captured — same
+floats, same order, and attributed to whatever cost scope is active at
+replay time.  The delta-range cache stores a miss's recorder next to
+the cached items and replays it on every hit, so a hit charges exactly
+what the miss did.
 
-Recorders nest: replaying while an outer recorder is active (a cache
-miss inside a pool worker, say) appends to the outer recorder instead of
-the global ledger, so charges bubble out one level at a time and are
-still applied globally in deterministic order.
+Recorders nest: replaying while an outer recorder is active appends to
+the outer recorder instead of the global ledger, so charges bubble out
+one level at a time.
 """
 
 
 class TaskRecorder:
-    """Captured side effects of one task attempt (or cache fill)."""
+    """Captured side effects of one cache fill (or any captured block)."""
 
     __slots__ = ("charges", "events")
 
@@ -34,17 +33,12 @@ class TaskRecorder:
     def add_event(self, kind, name, value):
         self.events.append((kind, name, value))
 
-    def extend(self, other):
-        """Adopt another recorder's captures (ordered concatenation)."""
-        self.charges.extend(other.charges)
-        self.events.extend(other.events)
-
     def replay(self, cluster):
         """Apply the captured charges and events to ``cluster``.
 
         Routed through :meth:`Cluster.record_charge` and
         :meth:`MetricsRegistry.replay`, both of which respect any capture
-        active on the *calling* thread — so nested replays compose.
+        that is active at replay time — so nested replays compose.
         """
         record = cluster.record_charge
         for charge in self.charges:

@@ -20,12 +20,13 @@ from repro.hive import HiveSession
 ROWS = [(i, i * 10) for i in range(40)]
 
 
-def build_session(workers=1, mode="edit", rows=ROWS, rows_per_file=10):
-    session = HiveSession(profile=ClusterProfile.laptop(workers=workers))
+def build_session(shards=1, mode="edit", rows=ROWS, rows_per_file=10):
+    session = HiveSession(profile=ClusterProfile.laptop())
+    sharding = " SHARDED BY (k) INTO %d" % shards if shards > 1 else ""
     session.execute(
-        "CREATE TABLE t (k int, v int) STORED AS dualtable "
+        "CREATE TABLE t (k int, v int) STORED AS dualtable%s "
         "TBLPROPERTIES ('orc.rows_per_file' = '%d', "
-        "'dualtable.mode' = '%s')" % (rows_per_file, mode))
+        "'dualtable.mode' = '%s')" % (sharding, rows_per_file, mode))
     session.load_rows("t", rows)
     return session
 
@@ -73,10 +74,10 @@ class TestCacheWarming:
         assert counters.get("cache.delta.hits", 0) == 0
 
 
-@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("shards", [1, 4])
 class TestInvalidationPaths:
-    def test_read_after_edit_commit(self, workers):
-        session = build_session(workers=workers)
+    def test_read_after_edit_commit(self, shards):
+        session = build_session(shards=shards)
         select_all(session)                       # warm
         session.execute("UPDATE t SET v = 7 WHERE k < 15")
         expect = sorted((k, 7 if k < 15 else v) for k, v in ROWS)
@@ -85,16 +86,16 @@ class TestInvalidationPaths:
         counters = session.cluster.metrics.counters
         assert counters["cache.delta.invalidations"] > 0
 
-    def test_read_after_delete_commit(self, workers):
-        session = build_session(workers=workers)
+    def test_read_after_delete_commit(self, shards):
+        session = build_session(shards=shards)
         select_all(session)
         session.execute("DELETE FROM t WHERE k >= 30")
         expect = sorted((k, v) for k, v in ROWS if k < 30)
         assert select_all(session) == expect
         assert fresh_rows(session) == expect
 
-    def test_read_after_compact(self, workers):
-        session = build_session(workers=workers)
+    def test_read_after_compact(self, shards):
+        session = build_session(shards=shards)
         session.execute("UPDATE t SET v = 1 WHERE k < 20")
         select_all(session)                       # warm on deltas
         session.execute("COMPACT TABLE t")
@@ -104,16 +105,16 @@ class TestInvalidationPaths:
         assert select_all(session) == expect
         assert fresh_rows(session) == expect
 
-    def test_read_after_insert_overwrite(self, workers):
-        session = build_session(workers=workers)
+    def test_read_after_insert_overwrite(self, shards):
+        session = build_session(shards=shards)
         select_all(session)                       # warm on the old files
         session.execute("INSERT OVERWRITE TABLE t "
                         "VALUES (1, 100), (2, 200)")
         assert select_all(session) == [(1, 100), (2, 200)]
         assert fresh_rows(session) == [(1, 100), (2, 200)]
 
-    def test_read_after_insert_append(self, workers):
-        session = build_session(workers=workers)
+    def test_read_after_insert_append(self, shards):
+        session = build_session(shards=shards)
         select_all(session)
         session.execute("INSERT INTO t VALUES (900, 9000)")
         expect = sorted(ROWS + [(900, 9000)])
@@ -174,9 +175,8 @@ class TestStripeIndexInvalidation:
 
     ROWS3 = [(i, i * 10, "s%02d" % i) for i in range(40)]
 
-    def build(self, workers=1):
-        session = HiveSession(
-            profile=ClusterProfile.laptop(workers=workers))
+    def build(self):
+        session = HiveSession(profile=ClusterProfile.laptop())
         session.execute(
             "CREATE TABLE t (k int, v int, s string, PRIMARY KEY (k)) "
             "STORED AS dualtable TBLPROPERTIES "
@@ -263,8 +263,8 @@ class TestOverlayInvalidation:
     and re-checks the cached answer against the all-caches-dropped
     oracle."""
 
-    def build(self, workers=1):
-        session = build_session(workers=workers, mode="edit")
+    def build(self):
+        session = build_session(mode="edit")
         session.execute("UPDATE t SET v = -5 WHERE k = 3")
         return session
 

@@ -163,6 +163,11 @@ class TestProfile:
         profile = ClusterProfile.paper_grid_cluster(num_workers=3)
         assert profile.num_workers == 3
 
+    def test_execution_is_serial_only(self):
+        assert ClusterProfile.laptop(workers=1).workers == 1
+        with pytest.raises(ValueError):
+            ClusterProfile.laptop(workers=4)
+
 
 class TestClusterCharging:
     def test_hdfs_read_rate(self):

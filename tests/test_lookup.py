@@ -22,9 +22,9 @@ from repro.hive.parser import parse
 ROWS = [(i, i * 10, "n%03d" % i) for i in range(100)]
 
 
-def build_session(rows=ROWS, rows_per_file=25, stripe_rows=5, workers=1,
+def build_session(rows=ROWS, rows_per_file=25, stripe_rows=5,
                   mode="cost", extra_props=""):
-    session = HiveSession(profile=ClusterProfile.laptop(workers=workers))
+    session = HiveSession(profile=ClusterProfile.laptop())
     session.execute(
         "CREATE TABLE t (k int, v int, name string, PRIMARY KEY (k)) "
         "STORED AS DUALTABLE TBLPROPERTIES "

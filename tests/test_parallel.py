@@ -1,79 +1,14 @@
-"""Unit tests for repro.parallel: pool, capture/replay, cache, gating."""
-
-import threading
+"""Unit tests for repro.parallel: capture/replay and the LRU cache."""
 
 import pytest
 
 from repro.cluster import Cluster, ClusterProfile
-from repro.common.errors import TaskFailedError
-from repro.faults import Fault, FaultPlan
-from repro.mapreduce import InputSplit, Job, JobRunner
 from repro.obs import MetricsRegistry
-from repro.parallel import (ByteBudgetLRU, TaskRecorder, WorkerPool,
-                            in_worker, parallel_map)
+from repro.parallel import ByteBudgetLRU
 
 
-def make_cluster(workers=1):
-    return Cluster(profile=ClusterProfile.laptop(workers=workers))
-
-
-class TestWorkerPool:
-    def test_results_in_submission_order(self):
-        pool = WorkerPool(4)
-        try:
-            outcomes = pool.map([lambda i=i: i * i for i in range(20)])
-            assert [o.unwrap() for o in outcomes] == [i * i
-                                                     for i in range(20)]
-        finally:
-            pool.close()
-
-    def test_serial_pool_runs_inline(self):
-        pool = WorkerPool(1)
-        assert not pool.parallel
-        seen = []
-        pool.map([lambda: seen.append(threading.current_thread().name)])
-        assert seen == [threading.main_thread().name]
-
-    def test_errors_are_outcomes_not_crashes(self):
-        pool = WorkerPool(3)
-        try:
-            outcomes = pool.map([lambda: 1,
-                                 lambda: 1 // 0,
-                                 lambda: 3])
-            assert outcomes[0].unwrap() == 1
-            assert isinstance(outcomes[1].error, ZeroDivisionError)
-            assert outcomes[2].unwrap() == 3
-            with pytest.raises(ZeroDivisionError):
-                outcomes[1].unwrap()
-        finally:
-            pool.close()
-
-    def test_workers_are_tagged(self):
-        pool = WorkerPool(2)
-        try:
-            assert not in_worker()
-            flags = [o.unwrap()
-                     for o in pool.map([in_worker, in_worker])]
-            assert flags == [True, True]
-            assert not in_worker()
-        finally:
-            pool.close()
-
-    def test_nested_map_runs_inline(self):
-        pool = WorkerPool(2)
-
-        def outer():
-            inner = [o.unwrap() for o in pool.map(
-                [lambda: in_worker(), lambda: in_worker()])]
-            return inner
-
-        try:
-            outcomes = pool.map([outer, outer])
-            # Nested fan-out runs on the worker thread itself (still
-            # tagged), never waits on fresh pool slots.
-            assert [o.unwrap() for o in outcomes] == [[True, True]] * 2
-        finally:
-            pool.close()
+def make_cluster():
+    return Cluster(profile=ClusterProfile.laptop())
 
 
 class TestCaptureReplay:
@@ -107,23 +42,6 @@ class TestCaptureReplay:
             inner.replay(cluster)
             assert len(outer.charges) == 1
         assert cluster.ledger.total_seconds == 0.0
-
-    def test_capture_is_per_thread(self):
-        cluster = make_cluster()
-        seen = {}
-
-        def worker():
-            cluster.charge_hdfs_read(100)
-            seen["seconds"] = cluster.ledger.total_seconds
-
-        with cluster.capture() as recorder:
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        # The other thread had no capture: its charge went straight to
-        # the ledger; the main thread's recorder stayed empty.
-        assert seen["seconds"] > 0.0
-        assert not recorder.charges
 
     def test_replay_preserves_metric_event_kinds(self):
         cluster = make_cluster()
@@ -192,150 +110,3 @@ class TestByteBudgetLRU:
         cache.put(("a",), 1, 10)
         assert cache.clear() == 1
         assert len(cache) == 0 and cache.used_bytes == 0
-
-
-class TestParallelMap:
-    def test_matches_inline_results_and_charges(self):
-        serial = make_cluster(workers=1)
-        parallel = make_cluster(workers=4)
-        items = list(range(8))
-
-        def work(cluster):
-            def fn(i):
-                cluster.charge_hdfs_read(100 * (i + 1))
-                cluster.metrics.incr("work.items")
-                return i * 2
-            return fn
-
-        assert parallel_map(serial, work(serial), items) \
-            == parallel_map(parallel, work(parallel), items) \
-            == [i * 2 for i in items]
-        assert parallel.ledger.snapshot() == serial.ledger.snapshot()
-        assert parallel.metrics.counter("work.items") == len(items)
-
-    def test_error_falls_back_to_inline_without_double_charges(self):
-        cluster = make_cluster(workers=4)
-
-        def fn(i):
-            cluster.charge_hdfs_read(100)
-            if i == 5:
-                raise ValueError("boom")
-            return i
-
-        with pytest.raises(ValueError):
-            parallel_map(cluster, fn, range(8))
-        # Only the inline re-run's charges applied: items 0..5 charged
-        # once each before the raise (captured charges were discarded).
-        key = ("hdfs", "read")
-        assert cluster.ledger.bytes_by_key[key] == 600
-
-
-class TestRunnerParallelGating:
-    def _word_count_job(self, n_splits=6):
-        splits = [InputSplit(payload=list(range(i, i + 3)), label=str(i))
-                  for i in range(n_splits)]
-
-        def map_fn(split, ctx):
-            ctx.incr("mapped")
-            for value in split.payload:
-                yield value % 2, value
-
-        def reduce_fn(key, values, ctx):
-            yield key, sum(values)
-
-        return Job(name="wc", splits=splits, map_fn=map_fn,
-                   reduce_fn=reduce_fn, num_reducers=2)
-
-    def _run(self, cluster, job=None):
-        runner = JobRunner(cluster)
-        result = runner.run(job or self._word_count_job())
-        return result
-
-    def test_parallel_result_identical_to_serial(self):
-        serial = self._run(make_cluster(workers=1))
-        parallel = self._run(make_cluster(workers=4))
-        assert sorted(parallel.outputs) == sorted(serial.outputs)
-        assert parallel.outputs == serial.outputs
-        assert parallel.sim_seconds == serial.sim_seconds
-        assert parallel.counters == serial.counters
-
-    def test_parallel_ledger_identical_to_serial(self):
-        c1, c4 = make_cluster(1), make_cluster(4)
-        self._run(c1)
-        self._run(c4)
-        assert c4.ledger.snapshot() == c1.ledger.snapshot()
-        assert c4.metrics.counters == c1.metrics.counters
-
-    def test_job_can_opt_out_of_parallelism(self):
-        cluster = make_cluster(workers=4)
-        names = []
-
-        def map_fn(split, ctx):
-            names.append(threading.current_thread().name)
-            return ()
-
-        job = Job(name="serial-only",
-                  splits=[InputSplit(payload=i) for i in range(4)],
-                  map_fn=map_fn, reduce_fn=None,
-                  properties={"parallel": False})
-        JobRunner(cluster).run(job)
-        assert set(names) == {threading.main_thread().name}
-
-    def test_armed_faults_disable_parallelism(self):
-        cluster = make_cluster(workers=4)
-        cluster.faults.install(FaultPlan([
-            Fault("hbase.put", nth_hit=10**9)]))
-        names = []
-
-        def map_fn(split, ctx):
-            names.append(threading.current_thread().name)
-            return ()
-
-        job = Job(name="faulty",
-                  splits=[InputSplit(payload=i) for i in range(4)],
-                  map_fn=map_fn, reduce_fn=None)
-        JobRunner(cluster).run(job)
-        assert set(names) == {threading.main_thread().name}
-
-    def test_worker_failure_falls_back_to_serial_retry_path(self):
-        cluster = make_cluster(workers=4)
-        attempts = []
-
-        def map_fn(split, ctx):
-            attempts.append(split.payload)
-            if split.payload == 2:
-                raise RuntimeError("always broken")
-            return ()
-
-        job = Job(name="broken",
-                  splits=[InputSplit(payload=i) for i in range(4)],
-                  map_fn=map_fn, reduce_fn=None)
-        with pytest.raises(TaskFailedError) as err:
-            JobRunner(cluster).run(job)
-        assert "map task 2" in str(err.value)
-        # The serial rerun retried the broken task max_task_attempts
-        # times, exactly as a workers=1 run would.
-        serial = make_cluster(workers=1)
-        serial_attempts = []
-
-        def serial_map_fn(split, ctx):
-            serial_attempts.append(split.payload)
-            if split.payload == 2:
-                raise RuntimeError("always broken")
-            return ()
-
-        with pytest.raises(TaskFailedError):
-            JobRunner(serial).run(Job(
-                name="broken",
-                splits=[InputSplit(payload=i) for i in range(4)],
-                map_fn=serial_map_fn, reduce_fn=None))
-        # Parallel ran one extra sweep (the abandoned concurrent pass).
-        assert attempts[len(attempts) - len(serial_attempts):] \
-            == serial_attempts
-        assert cluster.ledger.snapshot() == serial.ledger.snapshot()
-
-    def test_pool_resizes_with_profile(self):
-        cluster = make_cluster(workers=1)
-        assert cluster.pool.workers == 1
-        cluster.profile.workers = 4
-        assert cluster.pool.workers == 4

@@ -8,8 +8,8 @@ storage backend.
 The differential fuzz section at the bottom goes further: a seeded
 stream of ~200 UPDATE / DELETE / INSERT / COMPACT / SELECT statements
 runs against a DualTable while a plain Python list is mutated in
-lockstep, with row-for-row equality checked after *every* statement —
-serial and with a 4-thread worker pool.
+lockstep, with row-for-row equality checked after *every* statement,
+over two independently seeded streams.
 """
 
 import math
@@ -267,15 +267,15 @@ def _lookup_fuzz_script(rng, n):
     return script
 
 
-def _run_lookup_script(script, plan, engine, workers):
-    """One (plan, engine, workers) replay; returns what must be equal.
+def _run_lookup_script(script, plan, engine):
+    """One (plan, engine) replay; returns what must be equal.
 
     SELECT results are checked against a dict reference as they run;
     the returned transcript plus the (cache-counter-free) metric and
     ledger fingerprints let the caller assert cross-config identity.
     """
     session = HiveSession(
-        profile=ClusterProfile.laptop(workers=workers), engine=engine)
+        profile=ClusterProfile.laptop(), engine=engine)
     session.execute(
         "CREATE TABLE t (k int, v int, PRIMARY KEY (k)) "
         "STORED AS dualtable TBLPROPERTIES "
@@ -354,39 +354,35 @@ def test_lookup_plan_differential_fuzz():
     """The seeded PK workload is invariant three ways at once:
 
     * SELECT results and final table identical across every
-      (plan, engine, workers) combination;
-    * ledger and metric counters byte-identical across engine and
-      worker count *within* each plan (the totals necessarily differ
-      *between* plans — skipping MapReduce is the feature);
+      (plan, engine) combination;
+    * ledger and metric counters byte-identical across engines
+      *within* each plan (the totals necessarily differ *between*
+      plans — skipping MapReduce is the feature);
     * per-statement oracle checks hold throughout (inside the runner).
     """
     script = _lookup_fuzz_script(random.Random(20260808), N_LOOKUP_FUZZ)
     runs = {}
     for plan in ("lookup", "scan"):
         for engine in ("row", "vectorized"):
-            for workers in (1, 4):
-                runs[(plan, engine, workers)] = _run_lookup_script(
-                    script, plan, engine, workers)
-    baseline = runs[("lookup", "row", 1)]
+            runs[(plan, engine)] = _run_lookup_script(script, plan, engine)
+    baseline = runs[("lookup", "row")]
     for config, (transcript, final, ledger, counters) in runs.items():
         assert transcript == baseline[0], config
         assert final == baseline[1], config
     for plan in ("lookup", "scan"):
-        _, _, ledger0, counters0 = runs[(plan, "row", 1)]
-        for engine in ("row", "vectorized"):
-            for workers in (1, 4):
-                _, _, ledger, counters = runs[(plan, engine, workers)]
-                assert ledger == ledger0, (plan, engine, workers)
-                assert counters == counters0, (plan, engine, workers)
+        _, _, ledger0, counters0 = runs[(plan, "row")]
+        _, _, ledger, counters = runs[(plan, "vectorized")]
+        assert ledger == ledger0, plan
+        assert counters == counters0, plan
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("workers", [1, 4])
-def test_differential_fuzz_dml_stream(workers):
+@pytest.mark.parametrize("stream", [1, 4])
+def test_differential_fuzz_dml_stream(stream):
     from repro.cluster import ClusterProfile
 
-    rng = random.Random(20260806 + workers)
-    session = HiveSession(profile=ClusterProfile.laptop(workers=workers))
+    rng = random.Random(20260806 + stream)
+    session = HiveSession(profile=ClusterProfile.laptop())
     cols = ", ".join("%s %s" % (n, t) for n, t in COLUMNS)
     session.execute(
         "CREATE TABLE t (%s) STORED AS dualtable "

@@ -20,9 +20,8 @@ from repro.shard import NUM_BUCKETS, ShardMap
 from repro.shard.identity import identity_fingerprint
 
 
-def make_session(shards, workers=1, engine="row", rows=90,
-                 rows_per_file=10):
-    session = HiveSession(profile=ClusterProfile.laptop(workers=workers),
+def make_session(shards, engine="row", rows=90, rows_per_file=10):
+    session = HiveSession(profile=ClusterProfile.laptop(),
                           engine=engine)
     session.execute(
         "CREATE TABLE t (k int, grp string, v int) PRIMARY KEY (k) "
@@ -39,7 +38,7 @@ def handler_of(session, name="t"):
 
 
 # ---------------------------------------------------------------------------
-# Shard-count identity: INTO 1/4/8 x workers 1/4 x both engines.
+# Shard-count identity: INTO 1/4/8 x both engines.
 # ---------------------------------------------------------------------------
 IDENTITY_WORKLOAD = [
     "SELECT count(*), sum(v) FROM t",
@@ -52,8 +51,8 @@ IDENTITY_WORKLOAD = [
 ]
 
 
-def run_identity(shards, workers=1, engine="row"):
-    session = make_session(shards, workers=workers, engine=engine)
+def run_identity(shards, engine="row"):
+    session = make_session(shards, engine=engine)
     transcript = []
     for sql in IDENTITY_WORKLOAD:
         result = session.execute(sql)
@@ -63,27 +62,20 @@ def run_identity(shards, workers=1, engine="row"):
 
 @pytest.fixture(scope="module")
 def identity_baseline():
-    return run_identity(1, workers=1, engine="row")
+    return run_identity(1, engine="row")
 
 
 class TestShardCountIdentity:
-    @pytest.mark.parametrize("shards,workers,engine", [
-        (1, 1, "vectorized"),
-        (1, 4, "row"),
-        (1, 4, "vectorized"),
-        (4, 1, "row"),
-        (4, 1, "vectorized"),
-        (4, 4, "row"),
-        (4, 4, "vectorized"),
-        (8, 1, "row"),
-        (8, 1, "vectorized"),
-        (8, 4, "row"),
-        (8, 4, "vectorized"),
+    @pytest.mark.parametrize("shards,engine", [
+        (1, "vectorized"),
+        (4, "row"),
+        (4, "vectorized"),
+        (8, "row"),
+        (8, "vectorized"),
     ])
     def test_fingerprint_matches_serial_single_shard(
-            self, identity_baseline, shards, workers, engine):
-        transcript, ledger, counters = run_identity(shards, workers,
-                                                    engine)
+            self, identity_baseline, shards, engine):
+        transcript, ledger, counters = run_identity(shards, engine)
         base_transcript, base_ledger, base_counters = identity_baseline
         for (sql, rows), (_, expect) in zip(transcript, base_transcript):
             assert rows == expect, sql
@@ -91,7 +83,7 @@ class TestShardCountIdentity:
         assert counters == base_counters
 
     def test_baseline_rerun_is_self_consistent(self, identity_baseline):
-        assert run_identity(1, workers=1, engine="row") \
+        assert run_identity(1, engine="row") \
             == identity_baseline
 
     def test_physical_file_set_is_shard_count_invariant(self):

@@ -2,7 +2,7 @@
 
 Runs one mixed workload (DML, scans with LIKE/IN/CASE predicates,
 grouped aggregation, HAVING, ORDER BY ... LIMIT, outer joins, COMPACT)
-under ``row`` and ``vectorized`` engines at 1 and 4 workers, demanding
+under the ``row`` and ``vectorized`` engines, demanding
 byte-identical result rows, simulated seconds, cost-ledger snapshots
 and metric counters (``cache.*`` excluded, the one documented
 exclusion).  Also covered here: UNION READ merge-stat parity between
@@ -54,9 +54,9 @@ WORKLOAD = [
 ]
 
 
-def run_workload(engine, workers=1, batch_rows=None):
+def run_workload(engine, batch_rows=None):
     """Run the workload; return everything that must be identical."""
-    session = HiveSession(profile=ClusterProfile.laptop(workers=workers),
+    session = HiveSession(profile=ClusterProfile.laptop(),
                           engine=engine, batch_rows=batch_rows)
     session.execute(
         "CREATE TABLE t (k int, grp string, v int, w double) "
@@ -86,7 +86,7 @@ def run_workload(engine, workers=1, batch_rows=None):
 
 @pytest.fixture(scope="module")
 def row_run():
-    return run_workload("row", workers=1)
+    return run_workload("row")
 
 
 def assert_same_run(run, baseline):
@@ -102,13 +102,7 @@ def assert_same_run(run, baseline):
 
 class TestEngineEquivalence:
     def test_vectorized_serial_matches_row(self, row_run):
-        assert_same_run(run_workload("vectorized", workers=1), row_run)
-
-    def test_vectorized_parallel_matches_row(self, row_run):
-        assert_same_run(run_workload("vectorized", workers=4), row_run)
-
-    def test_row_parallel_matches_row_serial(self, row_run):
-        assert_same_run(run_workload("row", workers=4), row_run)
+        assert_same_run(run_workload("vectorized"), row_run)
 
     def test_engines_match_at_odd_batch_size(self):
         # batch_rows changes split chunking (hence sim time), so both
