@@ -23,6 +23,7 @@ from repro.hive.pushdown import (estimate_selection, extract_ranges,
                                  make_stripe_filter)
 from repro.hive.session import QueryResult
 from repro.hive.storage.base import StorageHandler
+from repro.hive.vexpr import compile_batch, compile_batch_predicate
 from repro.core.attached import AttachedTable
 from repro.core.cost_model import CostModel
 from repro.core.editlog import (EditBatch, recover_edit_logs,
@@ -30,10 +31,11 @@ from repro.core.editlog import (EditBatch, recover_edit_logs,
 from repro.core.lookup import plan_lookup, run_lookup
 from repro.core.master import MasterTable
 from repro.core.metadata import DualTableMetadata
-from repro.core.record_id import RECORD_ID_BYTES
+from repro.core.record_id import RECORD_ID_BYTES, encode_record_id
 from repro.core.udtf import delete_udtf, update_udtf
 from repro.core.union_read import (classify_merge_units, union_read_batches,
                                    union_read_file, union_read_overlay)
+from repro.vector import ColumnBatch
 
 #: per-assignment Attached-Table payload estimate: 3-byte qualifier +
 #: ~10-byte encoded value + cell overhead.
@@ -45,6 +47,8 @@ class DualTableHandler(StorageHandler):
 
     kind = "dualtable"
     supports_inplace_mutation = False   # mutation goes through plans
+    #: map-slot widening of this table's scans (see the sharded handler)
+    shard_fanout = 1
 
     def __init__(self, table, env):
         super().__init__(table, env)
@@ -80,6 +84,8 @@ class DualTableHandler(StorageHandler):
         self._compact_old = base + "/master.__old__"
         self._manifest_path = base + "/compact.manifest"
         self._txn_ids = itertools.count(1)
+        #: what an EditBatch stages and publishes through
+        self._batch_target = self
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -339,7 +345,19 @@ class DualTableHandler(StorageHandler):
         Clean files stream straight through the zero-delta fast path
         under either strategy; dirty batches are merged with the
         columnar overlay by default, or the per-row reference merge
-        under ``SET dualtable.merge = row`` (INTERNALS §14).
+        under ``SET dualtable.merge = row`` (INTERNALS §14).  The batch
+        engine's SELECT and COMPACT read here; the EDIT plan reads the
+        same overlay-merged batches through :meth:`locate_split`.
+        """
+        for batch, _ in self._merged_batches(split, batch_rows,
+                                             self.merge_mode):
+            yield batch
+
+    def _merged_batches(self, split, batch_rows, merge_mode="overlay"):
+        """``(batch, row_numbers)`` pairs of one split's UNION READ.
+
+        ``row_numbers`` are the batch rows' file-ordinal row numbers
+        under the overlay merge, None under the row merge.
         """
         payload = split.payload
         cluster = self.env.cluster
@@ -358,18 +376,41 @@ class DualTableHandler(StorageHandler):
                 payload["file_id"], reader, stripe_filter)
             stats = {}
             nrows = 0
-            if self.merge_mode == "overlay":
+            if merge_mode == "overlay":
                 merged = union_read_overlay(payload["file_id"], orc_batches,
                                             overlay, projection_map,
                                             stats=stats)
             else:
-                merged = union_read_batches(payload["file_id"], orc_batches,
-                                            items, projection_map,
-                                            stats=stats)
-            for batch in merged:
-                nrows += batch.length
-                yield batch
+                merged = ((batch, None) for batch in union_read_batches(
+                    payload["file_id"], orc_batches, items, projection_map,
+                    stats=stats))
+            for pair in merged:
+                nrows += pair[0].length
+                yield pair
             self._note_union_read(span, nrows, stats)
+
+    def locate_split(self, split, ctx, predicate, batch_rows):
+        """The EDIT plan's locate step: the rows of one split a WHERE
+        matches, as ``(record_ids, batch)`` pairs.
+
+        Reads the overlay-merged batches a scan reads (same charges and
+        counters, under either merge strategy) with the row numbers
+        appended as one trailing column, which the predicate ``env``
+        never references — so ``predicate`` (a
+        :func:`~repro.hive.vexpr.compile_batch_predicate` closure, or
+        None for every row) carries them through its filter.  Record
+        ids are encoded for the matched rows only; ``batch`` holds those
+        rows, with the row-number column still last.
+        """
+        file_id = split.payload["file_id"]
+        for batch, row_numbers in self._merged_batches(split, batch_rows):
+            located = ColumnBatch(batch.columns + [row_numbers],
+                                  batch.length)
+            if predicate is not None:
+                located = predicate(located)
+            if located.length:
+                yield ([encode_record_id(file_id, row_number)
+                        for row_number in located.columns[-1]], located)
 
     def _note_union_read(self, span, nrows, stats):
         """Post-merge accounting shared by the row and batch paths."""
@@ -608,7 +649,7 @@ class DualTableHandler(StorageHandler):
             result = session.update_via_overwrite(info, stmt,
                                                   extra_detail=detail)
         else:
-            result = self._edit_update(session, stmt, detail)
+            result = self._edit_plan(session, stmt, detail, "update")
         self._audit_cost_model(choice, plan, result)
         return result
 
@@ -636,7 +677,7 @@ class DualTableHandler(StorageHandler):
             result = session.delete_via_overwrite(info, stmt,
                                                   extra_detail=detail)
         else:
-            result = self._edit_delete(session, stmt, detail)
+            result = self._edit_plan(session, stmt, detail, "delete")
         self._audit_cost_model(choice, plan, result)
         return result
 
@@ -745,83 +786,69 @@ class DualTableHandler(StorageHandler):
         }
 
     # -- EDIT plans ------------------------------------------------------
-    def _edit_update(self, session, stmt, detail):
+    def _edit_plan(self, session, stmt, detail, kind):
+        """The EDIT plan of one UPDATE or DELETE (``kind``).
+
+        One map-only job over the projected, pruned splits: each task
+        locates its matching rows (:meth:`locate_split`), evaluates the
+        SET expressions over the located batch, and buffers one UDTF
+        call per row, in row order, into the statement's EditBatch,
+        which commits once the job has succeeded.
+        """
         schema = self.schema
+        assignments = stmt.assignments if kind == "update" else ()
         needed = set()
         if stmt.where is not None:
             needed |= referenced_columns(stmt.where)
-        for _, expr in stmt.assignments:
+        for _, expr in assignments:
             needed |= referenced_columns(expr)
         projection = [c.name for c in schema if c.name.lower() in needed]
         if not projection:
             projection = [schema.columns[0].name]
         env = Env()
         env.add_schema(projection, alias=stmt.alias)
-        predicate = (compile_expr(stmt.where, env)
+        predicate = (compile_batch_predicate(stmt.where, env)
                      if stmt.where is not None else None)
-        assigns = [(schema.index_of(name), compile_expr(expr, env))
-                   for name, expr in stmt.assignments]
+        assigns = [(schema.index_of(name), compile_batch(expr, env))
+                   for name, expr in assignments]
+        columns = [index for index, _ in assigns]
         ranges = extract_ranges(stmt.where) if stmt.where is not None else {}
         splits = self.scan_splits(projection, ranges)
-        batch = EditBatch(self, next(self._txn_ids))
+        batch = EditBatch(self._batch_target, next(self._txn_ids))
+        batch_rows = session.batch_rows
 
         def map_fn(split, ctx):
             # Output-committer semantics: a failed/retried attempt's
             # buffer is dropped; only successful attempts reach the batch.
             buffer = batch.task_buffer()
-            for record_id, values in self.read_split_with_rids(split, ctx):
-                if predicate is None or is_true(predicate(values)):
-                    new_values = {idx: fn(values) for idx, fn in assigns}
-                    update_udtf(buffer, record_id, new_values, ctx)
+            for record_ids, located in self.locate_split(
+                    split, ctx, predicate, batch_rows):
+                if kind == "delete":
+                    for record_id in record_ids:
+                        delete_udtf(buffer, record_id, ctx)
+                    continue
+                values = zip(*[fn(located.columns, located.length)
+                               for _, fn in assigns])
+                for record_id, row in zip(record_ids, values):
+                    update_udtf(buffer, record_id, dict(zip(columns, row)),
+                                ctx)
             batch.absorb(buffer, ctx.task_index)
             return ()
 
-        job = Job(name="update-edit", splits=splits, map_fn=map_fn,
-                  reduce_fn=None)
+        job = Job(name="%s-edit" % kind, splits=splits, map_fn=map_fn,
+                  reduce_fn=None,
+                  properties={"shard_fanout": self.shard_fanout})
         result = session.runner.run(job)
         commit_seconds = self._commit_or_defer(session, batch)
         self.note_attached_bytes()
         jobs = session._dml_subquery_jobs + [result]
         sub = sum(j.sim_seconds for j in session._dml_subquery_jobs)
+        affected = result.counters.get(
+            "updated" if kind == "update" else "deleted", 0)
         return QueryResult(
             sim_seconds=sub + result.sim_seconds + commit_seconds,
-            jobs=jobs, affected=result.counters.get("updated", 0),
-            plan="update-edit", detail=detail)
-
-    def _edit_delete(self, session, stmt, detail):
-        schema = self.schema
-        needed = (referenced_columns(stmt.where)
-                  if stmt.where is not None else set())
-        projection = [c.name for c in schema if c.name.lower() in needed]
-        if not projection:
-            projection = [schema.columns[0].name]
-        env = Env()
-        env.add_schema(projection, alias=stmt.alias)
-        predicate = (compile_expr(stmt.where, env)
-                     if stmt.where is not None else None)
-        ranges = extract_ranges(stmt.where) if stmt.where is not None else {}
-        splits = self.scan_splits(projection, ranges)
-        batch = EditBatch(self, next(self._txn_ids))
-
-        def map_fn(split, ctx):
-            buffer = batch.task_buffer()
-            for record_id, values in self.read_split_with_rids(split, ctx):
-                if predicate is None or is_true(predicate(values)):
-                    delete_udtf(buffer, record_id, ctx)
-            batch.absorb(buffer, ctx.task_index)
-            return ()
-
-        job = Job(name="delete-edit", splits=splits, map_fn=map_fn,
-                  reduce_fn=None)
-        result = session.runner.run(job)
-        commit_seconds = self._commit_or_defer(session, batch)
-        self.note_attached_bytes()
-        jobs = session._dml_subquery_jobs + [result]
-        sub = sum(j.sim_seconds for j in session._dml_subquery_jobs)
-        return QueryResult(
-            sim_seconds=sub + result.sim_seconds + commit_seconds,
-            jobs=jobs, affected=result.counters.get("deleted", 0),
-            plan="delete-edit", detail=detail)
+            jobs=jobs, affected=affected, plan="%s-edit" % kind,
+            detail=detail)
 
     def _commit_or_defer(self, session, batch):
         """Commit the EditBatch now, or buffer it in the server txn.
@@ -874,10 +901,8 @@ class DualTableHandler(StorageHandler):
                                      attached_bytes=attached_bytes):
                 splits = self._compact_splits()
 
-                def map_fn(split, ctx):
-                    yield from self.read_split(split, ctx)
-
-                job = Job(name="compact", splits=splits, map_fn=map_fn,
+                job = Job(name="compact", splits=splits,
+                          map_fn=self._compact_map_fn(session),
                           reduce_fn=None)
                 result = session.runner.run(job)
                 write_seconds = run_with_retries(
@@ -947,11 +972,9 @@ class DualTableHandler(StorageHandler):
                 splits = self._compact_splits(
                     paths=[v["path"] for v in victims])
 
-                def map_fn(split, ctx):
-                    yield from self.read_split(split, ctx)
-
                 job = Job(name="compact-partial", splits=splits,
-                          map_fn=map_fn, reduce_fn=None)
+                          map_fn=self._compact_map_fn(session),
+                          reduce_fn=None)
                 result = session.runner.run(job)
                 write_seconds = run_with_retries(
                     session,
@@ -974,6 +997,16 @@ class DualTableHandler(StorageHandler):
                     "mode": "partial", "files": len(victims),
                     "file_ids": [v["file_id"] for v in victims],
                     "rows_written": len(result.outputs)})
+
+    def _compact_map_fn(self, session):
+        """COMPACT's map function: a split's merged rows, in row order."""
+        batch_rows = session.batch_rows
+
+        def map_fn(split, ctx):
+            for batch in self.read_split_batches(split, ctx,
+                                                 batch_rows=batch_rows):
+                yield from batch.rows()
+        return map_fn
 
     def _compact_splits(self, paths=None):
         # scan_splits raises while _compacting; build splits directly.

@@ -238,9 +238,9 @@ def run_lookup(handler, plan, engine="row", batch_rows=None):
                                          stripe_filter=stripe_filter,
                                          batch_rows=batch_rows)
                 if handler.merge_mode == "overlay":
-                    merged = union_read_overlay(
+                    merged = (batch for batch, _ in union_read_overlay(
                         candidate["file_id"], batches, overlay,
-                        projection_map, stats=stats)
+                        projection_map, stats=stats))
                 else:
                     merged = union_read_batches(
                         candidate["file_id"], batches, deltas,

@@ -25,7 +25,8 @@ points; tests/test_merge_overlay.py fuzzes row-vs-overlay equality of
 rows *and* stats over adversarial delta distributions.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import chain
 
 from repro.core.record_id import decode_record_id, encode_record_id
 from repro.vector import ColumnBatch, batch_from_rows, spliced
@@ -218,6 +219,41 @@ class DeltaOverlay:
         return len(self.positions)
 
 
+class RowNumbers:
+    """The file row numbers of a batch the overlay dropped rows from:
+    ``range(base, end)`` minus the sorted ``deleted`` positions.
+
+    A lazy sequence, so scans, which never look at it, pay nothing per
+    row.  The EDIT plan's locate indexes it for the rows its WHERE
+    matched (one binary search over the deletes each) or iterates it
+    when every row matched.
+    """
+
+    __slots__ = ("base", "end", "deleted", "_before")
+
+    def __init__(self, base, end, deleted):
+        self.base = base
+        self.end = end
+        self.deleted = deleted
+        self._before = None
+
+    def __len__(self):
+        return self.end - self.base - len(self.deleted)
+
+    def __getitem__(self, index):
+        before = self._before
+        if before is None:
+            # Surviving rows ahead of each deleted position (ascending).
+            before = self._before = [position - self.base - j for j, position
+                                     in enumerate(self.deleted)]
+        return self.base + index + bisect_right(before, index)
+
+    def __iter__(self):
+        starts = [self.base] + [position + 1 for position in self.deleted]
+        return chain.from_iterable(
+            map(range, starts, self.deleted + [self.end]))
+
+
 def build_overlay(items):
     """Resolve one file's sorted ``(record_id, DeltaRecord)`` items into
     a :class:`DeltaOverlay` — one :func:`decode_record_id` per *delta*
@@ -263,6 +299,13 @@ def union_read_overlay(file_id, orc_batches, overlay, projection_map,
 
     A batch no delta position falls into streams through unchanged —
     the zero-delta fast path now costs one ``bisect`` per batch.
+
+    Yields ``(batch, row_numbers)`` pairs: ``row_numbers[i]`` is the
+    file-ordinal row number of the batch's row ``i`` — the batch's
+    ``range`` when it lost no rows, else that range minus the overlay's
+    delete positions (a lazy :class:`RowNumbers`).  Scans take the batch
+    only; the EDIT plan encodes record ids from the row numbers of the
+    rows it matched.
     """
     applied = 0
     deleted = 0
@@ -281,7 +324,7 @@ def union_read_overlay(file_id, orc_batches, overlay, projection_map,
             hi = bisect_left(positions, end, lo)
             cursor = hi
             if lo == hi:
-                yield batch
+                yield batch, range(base, end)
                 continue
             d_lo = bisect_left(deletes, base)
             d_hi = bisect_left(deletes, end, d_lo)
@@ -308,15 +351,16 @@ def union_read_overlay(file_id, orc_batches, overlay, projection_map,
                 if patched is None:
                     # Only noop or unprojected-update matches: content is
                     # unchanged; hand the source batch through.
-                    yield batch
+                    yield batch, range(base, end)
                 else:
-                    yield ColumnBatch(patched, batch.length)
+                    yield ColumnBatch(patched, batch.length), range(base, end)
                 continue
             survivors = batch.length - (d_hi - d_lo)
             if survivors == 0:
                 continue   # every row deleted; empty batches are not yielded
+            dropped = deletes[d_lo:d_hi]
             # Highest offset first so earlier deletes keep their index.
-            offsets = [p - base for p in reversed(deletes[d_lo:d_hi])]
+            offsets = [p - base for p in reversed(dropped)]
             source = batch.columns
             columns = patched if patched is not None else list(source)
             for position, column in enumerate(columns):
@@ -324,7 +368,8 @@ def union_read_overlay(file_id, orc_batches, overlay, projection_map,
                     column = columns[position] = list(column)
                 for offset in offsets:
                     del column[offset]
-            yield ColumnBatch(columns, survivors)
+            yield (ColumnBatch(columns, survivors),
+                   RowNumbers(base, end, dropped))
         trailing = len(positions) - cursor
     finally:
         if stats is not None:

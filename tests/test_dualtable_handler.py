@@ -71,6 +71,22 @@ class TestUpdateCorrectness:
         assert session.execute("SELECT tag FROM dt WHERE id = 5"
                                ).scalar() == "future"
 
+    def test_update_rewrites_predicate_column(self, session):
+        """A row whose WHERE column an earlier UPDATE rewrote is located
+        by its new value, not by the master's (whose stripe stats still
+        describe the old one)."""
+        make_dualtable(session)
+        session.execute("UPDATE dt SET id = id + 1000 WHERE id < 5")
+        assert session.execute(
+            "UPDATE dt SET tag = 'moved' WHERE id >= 1000").affected == 5
+        assert session.execute("DELETE FROM dt WHERE id < 5").affected == 0
+        assert session.execute(
+            "UPDATE dt SET id = id - 1000 WHERE tag = 'moved' "
+            "AND id >= 1003").affected == 2
+        moved = session.execute("SELECT id FROM dt WHERE tag = 'moved'")
+        assert sorted(row[0] for row in moved.rows) == [3, 4, 1000, 1001,
+                                                        1002]
+
     def test_repeated_updates_last_wins(self, session):
         make_dualtable(session)
         for value in ("a", "b", "c"):

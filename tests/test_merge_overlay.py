@@ -60,20 +60,29 @@ def run_all_paths(spans, entries, projection=(0, 1, 2)):
     overlay = build_overlay(items)
 
     o_stats, b_stats, r_stats = {}, {}, {}
-    o_batches = list(union_read_overlay(
+    o_pairs = list(union_read_overlay(
         FILE_ID, iter(make_batches(spans, projection)), overlay,
         projection_map, stats=o_stats))
+    o_batches = [batch for batch, _ in o_pairs]
     o_rows = [tuple(row) for batch in o_batches for row in batch.rows()]
+    o_numbers = [n for batch, numbers in o_pairs for n in numbers]
     b_batches = list(union_read_batches(
         FILE_ID, iter(make_batches(spans, projection)), items,
         projection_map, stats=b_stats))
     b_rows = [tuple(row) for batch in b_batches for row in batch.rows()]
     orc_rows = [(r, tuple(cell(r, c) for c in projection))
                 for first, n in spans for r in range(first, first + n)]
-    r_rows = [values for _, values in union_read_file(
-        FILE_ID, iter(orc_rows), items, projection_map, stats=r_stats)]
+    r_merged = list(union_read_file(
+        FILE_ID, iter(orc_rows), items, projection_map, stats=r_stats))
+    r_rows = [values for _, values in r_merged]
 
     assert o_rows == b_rows == r_rows
+    # The overlay's row numbers are exactly the row merge's record ids.
+    assert [encode_record_id(FILE_ID, n) for n in o_numbers] == \
+        [record_id for record_id, _ in r_merged]
+    for batch, numbers in o_pairs:
+        assert len(numbers) == len(batch)
+        assert [numbers[i] for i in range(len(numbers))] == list(numbers)
     assert o_stats == b_stats == r_stats
     assert all(len(batch) > 0 for batch in o_batches + b_batches)
     return o_rows, o_stats
@@ -162,9 +171,9 @@ class TestAdversarialDistributions:
         items = items_for({1: delta(updates={1: "patched"})})
         overlay = build_overlay(items)
         source = make_batches([(0, 4)], projection)
-        out = list(union_read_overlay(
+        out = [batch for batch, _ in union_read_overlay(
             FILE_ID, iter(source), overlay,
-            {c: i for i, c in enumerate(projection)}))
+            {c: i for i, c in enumerate(projection)})]
         assert out[0].columns[0] is source[0].columns[0]
         assert out[0].columns[2] is source[0].columns[2]
         assert out[0].columns[1] is not source[0].columns[1]
