@@ -4,20 +4,21 @@
 Two phases over the Zipf-skewed update-heavy scenario
 (:func:`repro.workloads.scenarios.build_zipf_update_scenario`):
 
-* **identity** — the same seeded workload replayed across merge
-  overlay/row x engines row/vectorized x shards 1/4 must
-  produce identical rows, ledger bytes/ops (seconds to the identity
-  grain), merge stats and non-cache counters.  The only counters allowed
-  to differ across *merge modes* are the strategy-attribution pair
-  ``unionread.batches_overlay`` / ``unionread.batches_row_fallback`` —
-  their sum (dirty merge units) must still be equal, and each mode must
-  attribute all of them to its own strategy.
+* **identity** — the same seeded workload replayed across engines
+  row/vectorized x shards 1/4 must produce identical rows, ledger
+  bytes/ops (seconds to the identity grain), merge stats and non-cache
+  counters.  Attribution: every dirty merge unit is counted in
+  ``unionread.batches_overlay`` (no other ``unionread.batches_*``
+  counter exists beside ``batches_fast``), and the fast + dirty unit sum
+  is the same in every configuration.
 * **wall-clock** — full scans of an update-heavy DualTable under the
   vectorized engine: the overlay merge must land within
   ``--max-dirty-ratio`` (default 1.10x) of the zero-delta fast path on a
   compacted twin of the same data, and beat the row-fallback merge by at
-  least ``--min-speedup`` (default 1.15x).  Rows and simulated seconds
-  are asserted byte-identical between the two merge strategies inline.
+  least ``--min-speedup`` (default 1.15x).  The row merge is the
+  reference one in ``tests/oracle/row_merge.py``, installed on the same
+  table for its timed scans.  Rows and simulated seconds are asserted
+  byte-identical between the two merges inline.
 
 Usage::
 
@@ -30,8 +31,10 @@ Exits non-zero if ``--check`` and any gate fails.
 """
 
 import argparse
+import contextlib
 import gc
 import json
+import os
 import sys
 import time
 
@@ -40,10 +43,15 @@ from repro.hive import HiveSession
 from repro.shard.identity import counter_identity_view, ledger_identity_view
 from repro.workloads.scenarios import build_zipf_update_scenario
 
-#: the strategy-attribution counters: the one sanctioned cross-merge-mode
-#: difference (same dirty units, attributed to the configured strategy).
-MERGE_UNIT_COUNTERS = ("unionread.batches_overlay",
-                       "unionread.batches_row_fallback")
+# The reference row merge lives with the tests, at the repository root.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
+from tests.oracle.row_merge import installed  # noqa: E402
+
+#: the merge-unit counters: units the fast path streamed through, and
+#: dirty units the overlay patched.
+MERGE_UNIT_COUNTERS = ("unionread.batches_fast",
+                       "unionread.batches_overlay")
 
 
 def sharded_ddl(table, shards, rows_per_file, stripe_rows):
@@ -55,11 +63,10 @@ def sharded_ddl(table, shards, rows_per_file, stripe_rows):
 
 
 # ----------------------------------------------------------------------
-# Phase 1: merge-mode / engine / shards identity.
+# Phase 1: engine / shards identity.
 # ----------------------------------------------------------------------
-def run_identity_config(merge, engine, shards, rows):
+def run_identity_config(engine, shards, rows):
     session = HiveSession(profile=ClusterProfile.laptop(), engine=engine)
-    session.execute("SET dualtable.merge = %s" % merge)
     scenario = build_zipf_update_scenario(
         rows=rows, updates=6, deletes=2, scans=3, keys_per_stmt=12,
         dirty_fraction=0.4, seed=29)
@@ -75,16 +82,18 @@ def run_identity_config(merge, engine, shards, rows):
         "SELECT k, grp, v, w FROM %s" % scenario["table"])
     transcript.append(("final-scan", sorted(final.rows)))
     counters = dict(counter_identity_view(session.cluster.metrics.counters))
-    units = {name: counters.pop(name, 0) for name in MERGE_UNIT_COUNTERS}
+    units = sorted(name for name in counters
+                   if name.startswith("unionread.batches_")
+                   and name.count(".") == 1)
     shared = (transcript,
               ledger_identity_view(session.cluster.ledger.snapshot()),
-              counters, sum(units.values()))
+              counters,
+              sum(counters.get(name, 0) for name in MERGE_UNIT_COUNTERS))
     return shared, units
 
 
 def identity_phase(args, failures):
-    configs = [(merge, engine, shards)
-               for merge in ("overlay", "row")
+    configs = [(engine, shards)
                for engine in ("row", "vectorized")
                for shards in (1, 4)]
     start = time.perf_counter()
@@ -94,32 +103,29 @@ def identity_phase(args, failures):
     for config in configs:
         got, units = run_identity_config(*config, rows=args.identity_rows)
         parts = [label for label, a, b
-                 in zip(("rows", "ledger", "counters", "dirty_units"),
+                 in zip(("rows", "ledger", "counters", "merge_units"),
                         baseline, got)
                  if a != b]
-        # Each mode must attribute every dirty unit to its own strategy.
-        own = ("unionread.batches_overlay" if config[0] == "overlay"
-               else "unionread.batches_row_fallback")
-        other = [n for n in MERGE_UNIT_COUNTERS if n != own][0]
-        if units[other] != 0 or units[own] != got[3]:
+        # Every dirty unit is the overlay's: no other unit counter.
+        if units != sorted(MERGE_UNIT_COUNTERS):
             parts.append("attribution")
         ok = not parts
         if not ok:
             failures.append(
-                "identity broken at merge=%s engine=%s shards=%d: "
+                "identity broken at engine=%s shards=%d: "
                 "%s differ" % (*config, ", ".join(parts)))
-        checked.append({"merge": config[0], "engine": config[1],
-                        "shards": config[2], "identical": ok})
-        print("identity merge=%-8s engine=%-10s shards=%d %s"
+        checked.append({"engine": config[0], "shards": config[1],
+                        "identical": ok})
+        print("identity engine=%-10s shards=%d %s"
               % (*config, "OK" if ok else "MISMATCH"))
     return {"configs": checked,
             "statements": 11,
-            "dirty_units": baseline[3],
+            "merge_units": baseline[3],
             "wall_s": round(time.perf_counter() - start, 3)}
 
 
 # ----------------------------------------------------------------------
-# Phase 2: wall-clock — overlay vs fast path vs row fallback.
+# Phase 2: wall-clock — overlay vs fast path vs row merge.
 # ----------------------------------------------------------------------
 def build_wallclock_session(rows):
     """One session with the dirty scenario table + a compacted twin."""
@@ -138,7 +144,9 @@ def build_wallclock_session(rows):
 def time_interleaved(session, queries, repeat):
     """Best-of-``repeat`` wall times, measured in interleaved rounds.
 
-    ``queries`` is ``[(name, merge_mode, sql), ...]``.  Each round times
+    ``queries`` is ``[(name, row_merge, sql), ...]``; ``row_merge`` names
+    the table whose reads the reference row merge takes over for that
+    query, or None for the production overlay.  Each round times
     every query once (GC paused), so slow drift in the host — CPU
     frequency, container contention — hits all strategies alike instead
     of biasing whichever block ran during the quiet stretch.  Returns
@@ -148,22 +156,28 @@ def time_interleaved(session, queries, repeat):
     """
     results = {}
     best = {}
-    for name, merge_mode, sql in queries:       # warmup pass
-        session.set_merge_mode(merge_mode)
-        results[name] = session.execute(sql)
+
+    def merge(row_merge):
+        if row_merge is None:
+            return contextlib.nullcontext()
+        return installed(session.table(row_merge).handler)
+
+    for name, row_merge, sql in queries:        # warmup pass
+        with merge(row_merge):
+            results[name] = session.execute(sql)
         best[name] = float("inf")
     for _ in range(repeat):
-        for name, merge_mode, sql in queries:
-            session.set_merge_mode(merge_mode)
-            gc.collect()
-            gc.disable()
-            try:
-                started = time.perf_counter()
-                session.execute(sql)
-                best[name] = min(best[name],
-                                 time.perf_counter() - started)
-            finally:
-                gc.enable()
+        for name, row_merge, sql in queries:
+            with merge(row_merge):
+                gc.collect()
+                gc.disable()
+                try:
+                    started = time.perf_counter()
+                    session.execute(sql)
+                    best[name] = min(best[name],
+                                     time.perf_counter() - started)
+                finally:
+                    gc.enable()
     return results, best
 
 
@@ -176,22 +190,22 @@ def wallclock_phase(args, failures):
 
     results, best = time_interleaved(
         session,
-        [("clean", "overlay", clean_sql),
-         ("overlay", "overlay", dirty_sql),
-         ("row", "row", dirty_sql)],
+        [("clean", None, clean_sql),
+         ("overlay", None, dirty_sql),
+         ("row", "zipf_updates", dirty_sql)],
         args.repeat)
     clean_result, clean_wall = results["clean"], best["clean"]
     overlay_result, overlay_wall = results["overlay"], best["overlay"]
     row_result, row_wall = results["row"], best["row"]
 
     if sorted(overlay_result.rows) != sorted(row_result.rows):
-        failures.append("dirty-scan rows differ between overlay and row "
-                        "merge strategies")
+        failures.append("dirty-scan rows differ between the overlay and "
+                        "the row merge")
     if round(overlay_result.sim_seconds, 9) \
             != round(row_result.sim_seconds, 9):
         failures.append(
-            "dirty-scan simulated seconds differ between merge "
-            "strategies (%.9f vs %.9f)"
+            "dirty-scan simulated seconds differ between the overlay "
+            "and the row merge (%.9f vs %.9f)"
             % (overlay_result.sim_seconds, row_result.sim_seconds))
 
     dirty_ratio = overlay_wall / clean_wall
@@ -259,8 +273,9 @@ def main(argv=None):
         "identity": identity_phase(args, failures),
         "wallclock": wallclock_phase(args, failures),
         "contract": "rows, ledger bytes/ops, merge stats and non-cache "
-                    "counters byte-identical across merge overlay/row x "
-                    "engines x shards 1/4",
+                    "counters byte-identical across engines row/vectorized "
+                    "x shards 1/4; every dirty merge unit attributed to "
+                    "the overlay",
     }
     report["failures"] = failures
     with open(args.out, "w") as fh:

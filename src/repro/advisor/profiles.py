@@ -49,7 +49,6 @@ class TableProfile:
     deltas_applied: int = 0
     batches_fast: int = 0
     batches_overlay: int = 0
-    batches_row_fallback: int = 0
     attached_bytes: int = 0
     bytes_read: float = 0.0
     bytes_rewritten: int = 0
@@ -96,7 +95,6 @@ class TableProfile:
             "deltas_applied": self.deltas_applied,
             "batches_fast": self.batches_fast,
             "batches_overlay": self.batches_overlay,
-            "batches_row_fallback": self.batches_row_fallback,
             "attached_bytes": self.attached_bytes,
             "bytes_read": round(self.bytes_read, 6),
             "bytes_rewritten": self.bytes_rewritten,
@@ -154,7 +152,6 @@ def build_profile(session, name):
         deltas_applied=c("unionread.deltas_applied.%s"),
         batches_fast=c("unionread.batches_fast.%s"),
         batches_overlay=c("unionread.batches_overlay.%s"),
-        batches_row_fallback=c("unionread.batches_row_fallback.%s"),
         attached_bytes=int(gauges.get("dualtable.attached_bytes.%s"
                                       % name, 0)),
         bytes_read=scan_bytes.total if scan_bytes else 0.0,

@@ -7,8 +7,7 @@ from repro.core.master import MasterTable
 from repro.core.metadata import DualTableMetadata
 from repro.core.record_id import (RECORD_ID_BYTES, decode_record_id,
                                   encode_record_id, file_key_range)
-from repro.core.union_read import (DeltaOverlay, apply_delta_to_row,
-                                   apply_update, build_overlay,
+from repro.core.union_read import (DeltaOverlay, apply_update, build_overlay,
                                    classify_merge_units, union_read_batches,
                                    union_read_file, union_read_overlay)
 
@@ -32,6 +31,5 @@ __all__ = [
     "DeltaOverlay",
     "build_overlay",
     "classify_merge_units",
-    "apply_delta_to_row",
     "apply_update",
 ]

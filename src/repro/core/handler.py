@@ -33,8 +33,7 @@ from repro.core.master import MasterTable
 from repro.core.metadata import DualTableMetadata
 from repro.core.record_id import RECORD_ID_BYTES, encode_record_id
 from repro.core.udtf import delete_udtf, update_udtf
-from repro.core.union_read import (classify_merge_units, union_read_batches,
-                                   union_read_file, union_read_overlay)
+from repro.core.union_read import classify_merge_units, union_read_overlay
 from repro.vector import ColumnBatch
 
 #: per-assignment Attached-Table payload estimate: 3-byte qualifier +
@@ -260,25 +259,21 @@ class DualTableHandler(StorageHandler):
         return splits
 
     def read_split(self, split, ctx):
-        for _, values in self.read_split_with_rids(split, ctx):
-            yield values
-
-    @property
-    def merge_mode(self):
-        """The session's dirty-batch merge strategy ("overlay" | "row")."""
-        return getattr(self.env, "merge_mode", "overlay")
+        for batch in self.read_split_batches(split, ctx):
+            yield from batch.rows()
 
     def _prepare_union_read(self, file_id, reader, stripe_filter):
-        """Shared per-file merge setup for the row and batch read paths.
+        """Per-file merge setup: the file's memoized
+        :class:`~repro.core.union_read.DeltaOverlay`.
 
-        Materializes the (charged) delta scan, resolves it into the
-        memoized :class:`~repro.core.union_read.DeltaOverlay`, and
-        classifies the file's merge units (``unionread.batches_*``
+        Materializes the (charged) delta scan before resolving it into
+        the overlay — a cached overlay must not skip the scan's charges —
+        and classifies the file's merge units (``unionread.batches_*``
         counters) on the canonical per-stripe grid.  Eager
         materialization reorders the delta-scan charges relative to the
         interleaved master reads, which is ledger-neutral: charges
         accumulate per (device, category) key, so only per-key order —
-        unchanged — matters.  Returns ``(items, overlay)``.
+        unchanged — matters.
         """
         items = list(self.attached.scan_file(file_id))
         overlay = self.attached.file_overlay(file_id, items=items)
@@ -286,7 +281,7 @@ class DualTableHandler(StorageHandler):
                  if stripe_filter is None or stripe_filter(s)]
         fast, dirty = classify_merge_units(spans, overlay.positions)
         self._note_merge_units(fast, dirty)
-        return items, overlay
+        return overlay
 
     def _note_merge_units(self, fast, dirty):
         """Merge-unit accounting: how much of the scanned stripe grid
@@ -295,10 +290,8 @@ class DualTableHandler(StorageHandler):
         The unit grid is per *stripe* — control-plane arithmetic over
         footer spans and delta positions, so the counts are
         byte-identical across engines, shards and the batch-size
-        knob.  Dirty units are attributed to the configured
-        merge strategy (``batches_overlay`` vs ``batches_row_fallback``);
-        the row *engine* reports the same classification the batch
-        engine would, keeping the cross-engine counter contract.
+        knob.  Dirty units are the ones the overlay patches
+        (``batches_overlay``).
         """
         metrics = self.env.cluster.metrics
         table = self.table.name
@@ -306,59 +299,38 @@ class DualTableHandler(StorageHandler):
             metrics.incr("unionread.batches_fast", fast)
             metrics.incr("unionread.batches_fast.%s" % table, fast)
         if dirty:
-            name = ("batches_overlay" if self.merge_mode == "overlay"
-                    else "batches_row_fallback")
-            metrics.incr("unionread.%s" % name, dirty)
-            metrics.incr("unionread.%s.%s" % (name, table), dirty)
+            metrics.incr("unionread.batches_overlay", dirty)
+            metrics.incr("unionread.batches_overlay.%s" % table, dirty)
 
     def read_split_with_rids(self, split, ctx):
-        """UNION READ of one master file: yields (record_id, values)."""
-        payload = split.payload
-        cluster = self.env.cluster
-        with cluster.tracer.span("substrate",
-                                 "union-read:%d" % payload["file_id"],
-                                 path=payload["path"]) as span:
-            reader = self.master.reader(payload["path"])
-            projection = payload["projection"]
-            stripe_filter = make_stripe_filter(
-                [n for n, _ in reader.schema], payload["ranges"] or {})
-            orc_rows = reader.rows(projection=projection,
-                                   stripe_filter=stripe_filter)
-            projection_map = self._projection_map(projection)
-            deltas, _ = self._prepare_union_read(
-                payload["file_id"], reader, stripe_filter)
-            stats = {}
-            nrows = 0
-            for item in union_read_file(payload["file_id"], orc_rows, deltas,
-                                        projection_map, stats=stats):
-                nrows += 1
-                yield item
-            self._note_union_read(span, nrows, stats)
+        """UNION READ of one master file: yields (record_id, values).
+
+        The record ids are encoded from the overlay's row numbers, so
+        only callers that need them (MERGE INTO) pay for the encode.
+        """
+        file_id = split.payload["file_id"]
+        for batch, row_numbers in self._merged_batches(split, None):
+            for row_number, values in zip(row_numbers, batch.rows()):
+                yield encode_record_id(file_id, row_number), values
 
     def read_split_batches(self, split, ctx, batch_rows=None):
         """Columnar UNION READ of one master file.
 
-        Shares every charge and counter with :meth:`read_split_with_rids`
-        (footer + stripe-column bytes via the ORC reader, the delta scan
-        via ``scan_file``, the per-output-row ``unionread`` CPU charge,
-        the ``unionread.*`` metrics) — only the wall-clock work differs.
-        Clean files stream straight through the zero-delta fast path
-        under either strategy; dirty batches are merged with the
-        columnar overlay by default, or the per-row reference merge
-        under ``SET dualtable.merge = row`` (INTERNALS §14).  The batch
-        engine's SELECT and COMPACT read here; the EDIT plan reads the
-        same overlay-merged batches through :meth:`locate_split`.
+        Every DualTable read comes through here or
+        :meth:`_merged_batches`: SELECT under either engine, LOOKUP,
+        COMPACT, MERGE INTO and the EDIT plan's :meth:`locate_split`.
+        Each pays the footer + stripe-column bytes via the ORC reader,
+        the delta scan via ``scan_file``, the per-output-row
+        ``unionread`` CPU charge and the ``unionread.*`` metrics.
+        Clean batches stream through the zero-delta fast path; dirty
+        ones are patched by the columnar overlay (INTERNALS §14).
         """
-        for batch, _ in self._merged_batches(split, batch_rows,
-                                             self.merge_mode):
+        for batch, _ in self._merged_batches(split, batch_rows):
             yield batch
 
-    def _merged_batches(self, split, batch_rows, merge_mode="overlay"):
-        """``(batch, row_numbers)`` pairs of one split's UNION READ.
-
-        ``row_numbers`` are the batch rows' file-ordinal row numbers
-        under the overlay merge, None under the row merge.
-        """
+    def _merged_batches(self, split, batch_rows):
+        """``(batch, row_numbers)`` pairs of one split's UNION READ;
+        ``row_numbers`` are the batch rows' file-ordinal row numbers."""
         payload = split.payload
         cluster = self.env.cluster
         with cluster.tracer.span("substrate",
@@ -372,19 +344,13 @@ class DualTableHandler(StorageHandler):
                                          stripe_filter=stripe_filter,
                                          batch_rows=batch_rows)
             projection_map = self._projection_map(projection)
-            items, overlay = self._prepare_union_read(
+            overlay = self._prepare_union_read(
                 payload["file_id"], reader, stripe_filter)
             stats = {}
             nrows = 0
-            if merge_mode == "overlay":
-                merged = union_read_overlay(payload["file_id"], orc_batches,
-                                            overlay, projection_map,
-                                            stats=stats)
-            else:
-                merged = ((batch, None) for batch in union_read_batches(
-                    payload["file_id"], orc_batches, items, projection_map,
-                    stats=stats))
-            for pair in merged:
+            for pair in union_read_overlay(payload["file_id"], orc_batches,
+                                           overlay, projection_map,
+                                           stats=stats):
                 nrows += pair[0].length
                 yield pair
             self._note_union_read(span, nrows, stats)
@@ -394,9 +360,8 @@ class DualTableHandler(StorageHandler):
         matches, as ``(record_ids, batch)`` pairs.
 
         Reads the overlay-merged batches a scan reads (same charges and
-        counters, under either merge strategy) with the row numbers
-        appended as one trailing column, which the predicate ``env``
-        never references — so ``predicate`` (a
+        counters) with the row numbers appended as one trailing column,
+        which the predicate ``env`` never references — so ``predicate`` (a
         :func:`~repro.hive.vexpr.compile_batch_predicate` closure, or
         None for every row) carries them through its filter.  Record
         ids are encoded for the matched rows only; ``batch`` holds those
@@ -413,7 +378,7 @@ class DualTableHandler(StorageHandler):
                         for row_number in located.columns[-1]], located)
 
     def _note_union_read(self, span, nrows, stats):
-        """Post-merge accounting shared by the row and batch paths."""
+        """Post-merge accounting of one file's UNION READ."""
         cluster = self.env.cluster
         # Per-row merge-path invocation overhead (Figure 4).
         profile = cluster.profile
@@ -467,7 +432,7 @@ class DualTableHandler(StorageHandler):
         return plan_lookup(self, ranges, projection=projection,
                            hit_faults=hit_faults)
 
-    def execute_lookup(self, plan, engine="row", batch_rows=None):
+    def execute_lookup(self, plan, batch_rows=None):
         """Run one planned LOOKUP read at sub-job cost (no MR planner).
 
         Returns ``(rows, sim_seconds, detail)``.  ``sim_seconds`` is the
@@ -485,8 +450,7 @@ class DualTableHandler(StorageHandler):
         with cluster.tracer.span("phase", "dualtable:lookup", table=table,
                                  files=len(plan.files),
                                  est_rows=plan.est_rows) as span:
-            rows = run_lookup(self, plan, engine=engine,
-                              batch_rows=batch_rows)
+            rows = run_lookup(self, plan, batch_rows=batch_rows)
             span.annotate(rows=len(rows))
         delta = cluster.ledger.diff(before)
         observed = delta["total_seconds"]

@@ -26,10 +26,8 @@ plan with no double-charged cost.
 
 from dataclasses import dataclass
 
-from repro.hive.pushdown import make_stripe_filter
 from repro.core.master import FILE_ID_KEY
-from repro.core.union_read import (union_read_batches, union_read_file,
-                                   union_read_overlay)
+from repro.mapreduce import InputSplit
 from repro.orc import OrcReader
 
 #: allowed fault kinds per LOOKUP injection point.  Kept separate from
@@ -197,64 +195,33 @@ def _projection_indices(names, projection):
 # ----------------------------------------------------------------------
 # Execution.
 # ----------------------------------------------------------------------
-def run_lookup(handler, plan, engine="row", batch_rows=None):
+def run_lookup(handler, plan, batch_rows=None):
     """Execute a planned LOOKUP; returns the merged value tuples.
 
-    Per candidate file this charges exactly what the scan path's union
-    read charges for the same stripes — the ORC footer plus decoded
-    stripe-column bytes via the (cache-parity) charged reader, the delta
-    scan via the memoized ``scan_file``, and the per-output-row
-    ``unionread`` CPU charge — and feeds the same ``unionread.*``
-    counters through ``handler._note_union_read``.  The vectorized
-    engine shares every charge with the row engine by construction.
+    Each candidate file is one UNION READ through the handler's
+    :meth:`read_split_batches` — the scan path's overlay merge, with the
+    stripe filter bounded by the PK range (or none for a PK-dirty file)
+    — so it charges exactly what a scan of the same stripes charges:
+    the ORC footer plus decoded stripe-column bytes, the memoized delta
+    scan, the per-output-row ``unionread`` CPU charge and the
+    ``unionread.*`` counters.
 
     The ``lookup.hbase_probe`` fault point fires before the first
     charged byte, so a region crash here leaves the ledger exactly as if
     the statement had been a scan from the start.
     """
-    cluster = handler.env.cluster
-    cluster.faults.hit("lookup.hbase_probe", table=handler.table.name)
+    handler.env.cluster.faults.hit("lookup.hbase_probe",
+                                   table=handler.table.name)
     handler.attached.ensure_available()
-    vectorized = engine == "vectorized"
     out = []
     for candidate in plan.files:
-        with cluster.tracer.span("substrate",
-                                 "lookup-read:%d" % candidate["file_id"],
-                                 path=candidate["path"]) as span:
-            reader = handler.master.reader(candidate["path"])
-            if candidate["whole_file"]:
-                stripe_filter = None
-            else:
-                stripe_filter = make_stripe_filter(
-                    [n for n, _ in reader.schema],
-                    {plan.pk: plan.pk_range})
-            projection_map = handler._projection_map(plan.projection)
-            deltas, overlay = handler._prepare_union_read(
-                candidate["file_id"], reader, stripe_filter)
-            stats = {}
-            nrows = 0
-            if vectorized:
-                batches = reader.batches(projection=plan.projection,
-                                         stripe_filter=stripe_filter,
-                                         batch_rows=batch_rows)
-                if handler.merge_mode == "overlay":
-                    merged = (batch for batch, _ in union_read_overlay(
-                        candidate["file_id"], batches, overlay,
-                        projection_map, stats=stats))
-                else:
-                    merged = union_read_batches(
-                        candidate["file_id"], batches, deltas,
-                        projection_map, stats=stats)
-                for batch in merged:
-                    nrows += batch.length
-                    out.extend(batch.rows())
-            else:
-                orc_rows = reader.rows(projection=plan.projection,
-                                       stripe_filter=stripe_filter)
-                for _, values in union_read_file(
-                        candidate["file_id"], orc_rows, deltas,
-                        projection_map, stats=stats):
-                    nrows += 1
-                    out.append(values)
-            handler._note_union_read(span, nrows, stats)
+        ranges = {} if candidate["whole_file"] else {plan.pk: plan.pk_range}
+        split = InputSplit(payload={"path": candidate["path"],
+                                    "file_id": candidate["file_id"],
+                                    "projection": plan.projection,
+                                    "ranges": ranges},
+                           label=candidate["path"])
+        for batch in handler.read_split_batches(split, None,
+                                                batch_rows=batch_rows):
+            out.extend(batch.rows())
     return out

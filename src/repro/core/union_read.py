@@ -2,27 +2,26 @@
 
 Both inputs arrive sorted by record ID (master rows by construction,
 attached rows because HBase keys are record IDs), so the merge is a single
-linear two-pointer pass per master file — the "simple MapReduce algorithm
-using a divide-and-conquer strategy" of Section III-C.
+linear pass per master file — the "simple MapReduce algorithm using a
+divide-and-conquer strategy" of Section III-C.
 
-Two merge strategies produce byte-identical output:
+Every production read merges with the **overlay**
+(:func:`union_read_overlay`): the file's sorted deltas are pre-resolved
+into a :class:`DeltaOverlay` — sorted delete positions plus per-column
+sparse patch lists — and applied to each ColumnBatch with binary search
+and slice-level column surgery, so the merge cost scales with the number
+of *deltas*, not the number of rows (cf. *Fast Updates on Read-Optimized
+Databases Using Multi-Core CPUs*, arXiv:1109.6885).
 
-* the **row merge** (:func:`union_read_file` and the fallback loop in
-  :func:`union_read_batches`) encodes one record ID per master row and
-  walks the delta iterator beside it — simple, and the reference
-  semantics for everything else;
-* the **overlay merge** (:func:`union_read_overlay`) pre-resolves the
-  file's sorted deltas into a :class:`DeltaOverlay` — sorted delete
-  positions plus per-column sparse patch lists — and applies it to each
-  ColumnBatch with binary search and slice-level column surgery, so the
-  merge cost scales with the number of *deltas*, not the number of rows
-  (cf. *Fast Updates on Read-Optimized Databases Using Multi-Core CPUs*,
-  arXiv:1109.6885).
+The **row merges** (:func:`union_read_file` and :func:`union_read_batches`)
+encode one record ID per master row and walk the delta iterator beside
+it.  No production path calls them: they are the reference semantics the
+overlay is differentially tested against (``tests/oracle/row_merge.py``,
+tests/test_merge_overlay.py), and stay in this module because the
+wall-clock benchmark (``perfbench/tracing.py``) times them by name.
 
 The merge-stat contract (``deltas_applied`` / ``rows_deleted`` /
-``deltas_skipped`` / ``trailing_deltas``) is shared by all three entry
-points; tests/test_merge_overlay.py fuzzes row-vs-overlay equality of
-rows *and* stats over adversarial delta distributions.
+``deltas_skipped`` / ``trailing_deltas``) is shared by all three merges.
 """
 
 from bisect import bisect_left, bisect_right
@@ -35,9 +34,8 @@ from repro.vector import ColumnBatch, batch_from_rows, spliced
 def apply_update(values, updates, projection_map):
     """Apply one delta's update cells onto a projected row tuple.
 
-    The single shared implementation of the update-application loop —
-    the row merge, the batch fallback merge and
-    :func:`apply_delta_to_row` all funnel through here so the paths
+    The single update-application loop of the two row merges
+    (:func:`union_read_file` and :func:`union_read_batches`), so they
     cannot drift.  Update cells whose column is not projected are
     dropped (the delta still *counts* as applied; the caller owns the
     stats).
@@ -52,7 +50,8 @@ def apply_update(values, updates, projection_map):
 
 def union_read_file(file_id, orc_rows, delta_items, projection_map,
                     stats=None):
-    """Merge one master file with its attached deltas.
+    """Merge one master file with its attached deltas, row at a time
+    (the reference merge; see the module docstring).
 
     ``orc_rows``        — iterator of ``(row_number, values_tuple)`` from the
                           ORC reader (values in projection order);
@@ -130,9 +129,8 @@ def union_read_batches(file_id, orc_batches, delta_items, projection_map,
     one comparison per *batch* instead of one id encode + compare per
     *row*.  Batches that do overlap a delta fall back to the row merge
     and are re-packed (deletes drop rows, updates patch them) — the
-    overlay merge (:func:`union_read_overlay`, the default) exists to
-    avoid exactly that fallback; this function is retained behind
-    ``SET dualtable.merge = row`` as the correctness reference.
+    overlay merge (:func:`union_read_overlay`) exists to avoid exactly
+    that fallback; this function is kept as its correctness reference.
     """
     applied = 0
     deleted = 0
@@ -400,13 +398,3 @@ def classify_merge_units(spans, positions):
             fast += 1
     return fast, dirty
 
-
-def apply_delta_to_row(values, delta, projection_map):
-    """Apply one DeltaRecord to a projected row (None when deleted)."""
-    if delta is None:
-        return values
-    if delta.deleted:
-        return None
-    if not delta.updates:
-        return values
-    return apply_update(values, delta.updates, projection_map)

@@ -746,7 +746,7 @@ class SelectExecutor:
             return None
         try:
             rows, seconds, detail = handler.execute_lookup(
-                plan, engine=self.engine, batch_rows=self.batch_rows)
+                plan, batch_rows=self.batch_rows)
         except FaultInjectedError as exc:
             if exc.fatal:
                 raise

@@ -192,7 +192,8 @@ class Parser:
         """One dotted-name segment of a SET option.
 
         Keywords are allowed — option names live in their own namespace
-        (``dualtable.merge`` must parse even though MERGE is reserved).
+        (Hive's ``hive.merge.mapfiles`` must parse even though MERGE is
+        reserved, so the session can reject it as an unknown option).
         """
         token = self.peek()
         if token.kind in ("ident", "kw"):

@@ -42,13 +42,6 @@ register_handler("hbase", HBaseTableHandler)
 ENGINES = ("row", "vectorized")
 DEFAULT_ENGINE = "vectorized"
 
-#: UNION READ merge strategies for dirty batches: "overlay" pre-resolves
-#: a file's deltas into a columnar DeltaOverlay and applies it with
-#: binary search + slice surgery; "row" is the per-row reference merge.
-#: Byte-identical rows, charges and stats — wall-clock only (§14).
-MERGE_MODES = ("overlay", "row")
-DEFAULT_MERGE_MODE = "overlay"
-
 
 @dataclass
 class QueryResult:
@@ -74,6 +67,10 @@ class QueryResult:
 class HiveSession:
     """One connection to the simulated warehouse."""
 
+    #: The UNION READ merge: always the columnar delta overlay
+    #: (INTERNALS §14).  A constant, kept for callers that record it.
+    merge_mode = "overlay"
+
     def __init__(self, cluster=None, profile=None, engine=None,
                  batch_rows=None):
         self.cluster = cluster or Cluster(profile or ClusterProfile.laptop())
@@ -87,8 +84,6 @@ class HiveSession:
         self.hbase = HBaseService(self.cluster)
         self.runner = JobRunner(self.cluster)
         self.env = HiveEnv(self.cluster, self.fs, self.hbase, self.runner)
-        self.set_merge_mode(os.environ.get("REPRO_MERGE")
-                            or DEFAULT_MERGE_MODE)
         self.metastore = Metastore(self.env)
         self.views = {}
         self._dml_subquery_jobs = []
@@ -163,27 +158,6 @@ class HiveSession:
         from repro.vector import validate_batch_rows
         self.batch_rows = validate_batch_rows(batch_rows)
         return self
-
-    def set_merge_mode(self, merge_mode):
-        """Select the dirty-batch UNION READ merge strategy.
-
-        ``"overlay"`` (default) applies pre-resolved columnar delta
-        overlays; ``"row"`` keeps the per-row reference merge as a
-        correctness fallback.  Both produce byte-identical rows, charges
-        and merge stats — wall-clock only, like the engine knob.  Also
-        settable per process via ``REPRO_MERGE`` and per session via
-        ``SET dualtable.merge = overlay|row``.
-        """
-        merge_mode = str(merge_mode).lower()
-        if merge_mode not in MERGE_MODES:
-            raise ValueError("unknown merge mode %r (choose from %s)"
-                             % (merge_mode, "/".join(MERGE_MODES)))
-        self.env.merge_mode = merge_mode
-        return self
-
-    @property
-    def merge_mode(self):
-        return self.env.merge_mode
 
     # ------------------------------------------------------------------
     # Public API.
@@ -431,11 +405,10 @@ class HiveSession:
                                    "options": applied})
 
     #: session options settable via ``SET name = value``.
-    SESSION_OPTIONS = {"dualtable.plan": ("cost", "lookup", "scan"),
-                       "dualtable.merge": MERGE_MODES}
+    SESSION_OPTIONS = {"dualtable.plan": ("cost", "lookup", "scan")}
 
     def _set_option(self, stmt):
-        """``SET dualtable.plan = ...`` / ``SET dualtable.merge = ...``."""
+        """``SET dualtable.plan = cost|lookup|scan``."""
         allowed = self.SESSION_OPTIONS.get(stmt.name)
         if allowed is None:
             raise AnalysisError(
@@ -446,10 +419,7 @@ class HiveSession:
             raise AnalysisError(
                 "bad value %r for %s (choose from %s)"
                 % (stmt.value, stmt.name, "/".join(allowed)))
-        if stmt.name == "dualtable.merge":
-            self.set_merge_mode(value)
-        else:
-            self.plan_mode = value
+        self.plan_mode = value
         self.cluster.metrics.incr("session.set_option")
         return QueryResult(plan="set",
                            detail={"name": stmt.name, "value": value})

@@ -466,7 +466,7 @@ class ShardedDualTableHandler(DualTableHandler):
         plan.shard = shard
         return plan
 
-    def execute_lookup(self, plan, engine="row", batch_rows=None):
+    def execute_lookup(self, plan, batch_rows=None):
         self._check_not_compacting()
         self._ensure_recovered()
         shard = getattr(plan, "shard", 0)
@@ -475,7 +475,7 @@ class ShardedDualTableHandler(DualTableHandler):
         # counters exactly once; the wrapper adds the logical-table
         # series plus per-shard routing evidence.
         rows, observed, detail = child.execute_lookup(
-            plan, engine=engine, batch_rows=batch_rows)
+            plan, batch_rows=batch_rows)
         table = self.table.name
         metrics = self.env.cluster.metrics
         metrics.incr("dualtable.lookups.%s" % table)

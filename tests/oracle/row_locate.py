@@ -1,11 +1,11 @@
 """Reference EDIT-plan locate: the per-row record-id merge.
 
 UPDATE and DELETE used to find their rows by reading every master row
-through ``read_split_with_rids`` (the row merge: one encoded record id
-per row) and running the interpreted row predicate (``compile_expr`` +
-``is_true``) on each.  This module keeps that loop, for the unsharded and
-the sharded handler, as the oracle the batch-native locate
-(:meth:`repro.core.handler.DualTableHandler.locate_split`) is
+through the row merge (:func:`tests.oracle.row_merge.read_split_with_rids`:
+one encoded record id per row) and running the interpreted row predicate
+(``compile_expr`` + ``is_true``) on each.  This module keeps that loop,
+for the unsharded and the sharded handler, as the oracle the batch-native
+locate (:meth:`repro.core.handler.DualTableHandler.locate_split`) is
 differentially tested against in ``tests/test_edit_locate.py``.
 
 :func:`install` swaps the loop into one handler instance; everything
@@ -20,6 +20,7 @@ from repro.hive.expressions import (Env, compile_expr, is_true,
 from repro.hive.pushdown import extract_ranges
 from repro.hive.session import QueryResult
 from repro.mapreduce import Job
+from tests.oracle.row_merge import read_split_with_rids
 
 
 def row_edit(handler, session, stmt, detail, kind):
@@ -49,7 +50,7 @@ def row_edit(handler, session, stmt, detail, kind):
         shard = split.payload.get("shard", 0)
         source = handler.children[shard] if sharded else handler
         buffer = batch.task_buffer()
-        for record_id, values in source.read_split_with_rids(split, ctx):
+        for record_id, values in read_split_with_rids(source, split, ctx):
             if predicate is None or is_true(predicate(values)):
                 key = (shard, record_id) if sharded else record_id
                 if kind == "update":

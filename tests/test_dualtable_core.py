@@ -11,7 +11,6 @@ from repro.core import (AttachedTable, DeltaRecord, DualTableMetadata,
                         encode_record_id, file_key_range, union_read_file)
 from repro.core.attached import (DELETE_MARKER, parse_qualifier,
                                  update_qualifier)
-from repro.core.union_read import apply_delta_to_row
 from repro.hbase import HBaseService
 from repro.hdfs import HdfsFileSystem
 from repro.hive.types import TableSchema
@@ -176,13 +175,6 @@ class TestUnionRead:
         merged = self._merge(iter(rows), iter(deltas),
                              projection_map={0: 0})
         assert merged == [(encode_record_id(0, 10), ("y",))]
-
-    def test_apply_delta_to_row(self):
-        assert apply_delta_to_row(("a", 1), None, {0: 0}) == ("a", 1)
-        assert apply_delta_to_row(("a", 1),
-                                  DeltaRecord(deleted=True), {0: 0}) is None
-        assert apply_delta_to_row(
-            ("a", 1), DeltaRecord(updates={1: 9}), {0: 0, 1: 1}) == ("a", 9)
 
 
 @given(st.lists(st.integers(0, 2), min_size=0, max_size=40),

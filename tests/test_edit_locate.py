@@ -3,7 +3,9 @@
 UPDATE and DELETE find their rows in overlay-merged ColumnBatches
 (:meth:`repro.core.handler.DualTableHandler.locate_split`) and encode
 record ids only for the rows the WHERE matched.  The previous row-merge
-loop lives on in :mod:`tests.oracle.row_locate`.  Every test here runs
+loop lives on in :mod:`tests.oracle.row_locate`; with
+:mod:`tests.oracle.row_merge` installed, the scans and COMPACT of both
+sessions read through the row merge too.  Every test here runs
 the same statements on two identically built sessions — one production,
 one with the oracle installed — and requires the committed EditBatch edit
 lists (kind, record id, values, order) to be equal, as well as the
@@ -16,6 +18,7 @@ from repro.cluster import ClusterProfile
 from repro.common.rng import make_rng
 from repro.core.record_id import encode_record_id
 from repro.hive import HiveSession
+from tests.oracle import row_merge
 from tests.oracle.row_locate import install
 
 ROWS = 1200
@@ -30,16 +33,17 @@ def table_rows():
 
 
 def build(engine="vectorized", sharded=False, batch_rows=None,
-          merge="overlay"):
+          row_reads=False):
     session = HiveSession(profile=ClusterProfile.laptop(), engine=engine,
                           batch_rows=batch_rows)
-    session.set_merge_mode(merge)
     session.execute(
         "CREATE TABLE t (k int, g string, v int, w double) "
         "STORED AS DUALTABLE %s TBLPROPERTIES ("
         "'dualtable.mode' = 'edit', 'orc.rows_per_file' = '400', "
         "'orc.stripe_rows' = '100')"
         % ("SHARDED BY (k) INTO 4" if sharded else ""))
+    if row_reads:
+        row_merge.install(session.table("t").handler)
     session.load_rows("t", table_rows())
     return session
 
@@ -234,7 +238,7 @@ class TestDifferentialFuzz:
     @pytest.mark.parametrize("seed", range(3))
     def test_row_merge_mode_and_noop_deltas(self, seed):
         rng = make_rng("edit-locate-fuzz-merge", seed)
-        pair = Pair(merge="row", batch_rows=rng.choice([64, 128, None]))
+        pair = Pair(row_reads=True, batch_rows=rng.choice([64, 128, None]))
         noop_deltas(pair, every=rng.choice([5, 17]))
         for _ in range(10):
             pair.run(random_statement(rng))

@@ -1,17 +1,20 @@
 """Differential tests: overlay merge vs row merge (INTERNALS §14).
 
-The overlay merge (:func:`repro.core.union_read_overlay`) must be
-indistinguishable from the row-fallback merge
-(:func:`repro.core.union_read_batches`) in everything except wall-clock:
+The overlay merge (:func:`repro.core.union_read_overlay`), the one UNION
+READ of every production read, must be indistinguishable from the
+reference row merges (:func:`repro.core.union_read_batches` and
+:func:`repro.core.union_read_file`) in everything except wall-clock:
 same yielded rows, same merge-stats dict, same charges and counters.
-These tests drive both implementations over hand-built adversarial delta
-distributions and a seeded fuzz sweep at the unit level, then replay the
-same DML through SQL under ``SET dualtable.merge = overlay`` vs ``row``.
+These tests drive the three implementations over hand-built adversarial
+delta distributions and a seeded fuzz sweep at the unit level, then
+replay the same SQL on two sessions, one with the row merge installed
+(:mod:`tests.oracle.row_merge`).
 """
 
 import pytest
 
 from repro.cluster import ClusterProfile
+from repro.common.errors import AnalysisError
 from repro.common.rng import make_rng
 from repro.core import (build_overlay, union_read_batches, union_read_file,
                         union_read_overlay)
@@ -19,6 +22,7 @@ from repro.core.attached import DeltaRecord
 from repro.core.record_id import encode_record_id
 from repro.hive import HiveSession
 from repro.vector import ColumnBatch
+from tests.oracle import row_merge
 
 FILE_ID = 3
 WIDTH = 3           # schema columns 0, 1, 2
@@ -211,17 +215,19 @@ class TestDifferentialFuzz:
 
 
 class TestMergeModeSQL:
-    """End-to-end: both strategies through real statements."""
+    """End-to-end: the overlay and the installed row merge through real
+    statements."""
 
     ROWS = [(i, i * 10) for i in range(60)]
 
-    def build(self, merge):
+    def build(self, row_reads):
         session = HiveSession(profile=ClusterProfile.laptop())
-        session.execute("SET dualtable.merge = %s" % merge)
         session.execute(
             "CREATE TABLE t (k int, v int) STORED AS dualtable "
             "TBLPROPERTIES ('orc.rows_per_file' = '20', "
             "'orc.stripe_rows' = '5', 'dualtable.mode' = 'edit')")
+        if row_reads:
+            row_merge.install(session.table("t").handler)
         session.load_rows("t", self.ROWS)
         session.execute("UPDATE t SET v = 1 WHERE k < 7")
         session.execute("DELETE FROM t WHERE k >= 50 AND k < 55")
@@ -231,47 +237,126 @@ class TestMergeModeSQL:
     @pytest.mark.parametrize("engine", ["row", "vectorized"])
     def test_strategies_agree_end_to_end(self, engine):
         results = {}
-        for merge in ("overlay", "row"):
-            session = self.build(merge)
+        for row_reads in (False, True):
+            session = self.build(row_reads)
             session.set_engine(engine)
             result = session.execute("SELECT k, v FROM t ORDER BY k")
             counters = session.cluster.metrics.counters
-            results[merge] = (result.rows, result.sim_seconds,
-                              counters.get("unionread.deltas_applied", 0),
-                              counters.get("unionread.rows_deleted", 0))
-        assert results["overlay"] == results["row"]
+            results[row_reads] = (result.rows, result.sim_seconds,
+                                  counters.get("unionread.deltas_applied", 0),
+                                  counters.get("unionread.rows_deleted", 0))
+        assert results[False] == results[True]
 
     def test_dirty_units_attributed_to_configured_strategy(self):
-        for merge, own, other in (
-                ("overlay", "unionread.batches_overlay",
-                 "unionread.batches_row_fallback"),
-                ("row", "unionread.batches_row_fallback",
-                 "unionread.batches_overlay")):
-            session = self.build(merge)
+        # One merge strategy, one dirty-unit counter — the row merge
+        # reports the units the overlay would patch.
+        for row_reads in (False, True):
+            session = self.build(row_reads)
             session.execute("SELECT k, v FROM t")
-            counters = session.cluster.metrics.counters
-            assert counters.get(own, 0) > 0
-            assert counters.get(other, 0) == 0
-            assert counters.get("unionread.batches_fast", 0) > 0
+            units = {name for name in session.cluster.metrics.counters
+                     if name.startswith("unionread.batches_")}
+            assert units == {"unionread.batches_fast",
+                             "unionread.batches_fast.t",
+                             "unionread.batches_overlay",
+                             "unionread.batches_overlay.t"}
 
     def test_merge_unit_sum_identical_across_strategies(self):
         units = {}
-        for merge in ("overlay", "row"):
-            session = self.build(merge)
+        for row_reads in (False, True):
+            session = self.build(row_reads)
             session.execute("SELECT k, v FROM t")
             counters = session.cluster.metrics.counters
-            units[merge] = (
+            units[row_reads] = (
                 counters.get("unionread.batches_fast", 0),
-                counters.get("unionread.batches_overlay", 0)
-                + counters.get("unionread.batches_row_fallback", 0))
-        assert units["overlay"] == units["row"]
+                counters.get("unionread.batches_overlay", 0))
+        assert units[False] == units[True]
+        assert all(units[False])
 
-    def test_set_merge_rejects_unknown_strategy(self):
+    def test_set_dualtable_merge_is_rejected(self):
         session = HiveSession(profile=ClusterProfile.laptop())
-        with pytest.raises(Exception):
-            session.execute("SET dualtable.merge = eager")
+        with pytest.raises(AnalysisError, match="unknown session option"):
+            session.execute("SET dualtable.merge = row")
+        assert session.merge_mode == "overlay"
 
-    def test_merge_mode_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MERGE", "row")
-        session = HiveSession(profile=ClusterProfile.laptop())
-        assert session.merge_mode == "row"
+
+class TestReroutedReads:
+    """Every read that used to take the row merge — the row engine's
+    SELECT, LOOKUP, MERGE INTO and the OVERWRITE plan's rewrite — against
+    the installed row merge: same rows, ledger and metrics after every
+    statement."""
+
+    DDL = ("CREATE TABLE t (k int, g string, v int) PRIMARY KEY (k) "
+           "STORED AS dualtable %s TBLPROPERTIES ("
+           "'dualtable.mode' = 'edit', 'orc.rows_per_file' = '200', "
+           "'orc.stripe_rows' = '100')")
+
+    def build(self, engine, sharded, row_reads):
+        session = HiveSession(profile=ClusterProfile.laptop(), engine=engine,
+                              batch_rows=64)
+        session.execute(self.DDL % ("SHARDED BY (k) INTO 4"
+                                    if sharded else ""))
+        handler = session.table("t").handler
+        if row_reads:
+            row_merge.install(handler)
+        session.load_rows("t", [(k, "g%d" % (k % 3), k % 7)
+                                for k in range(800)])
+        session.execute("CREATE TABLE src (k int, v int)")
+        session.load_rows("src", [(k, -k) for k in range(0, 900, 9)])
+        # Noop deltas: attached entries that match a row, change nothing.
+        for child in getattr(handler, "children", None) or [handler]:
+            table = child.attached._htable()
+            for path in child.master.file_paths():
+                reader = child.master.reader(path)
+                file_id = int(reader.metadata["dualtable.file_id"])
+                for row in range(0, reader.num_rows, 15):
+                    table.put(encode_record_id(file_id, row), {b"noop": b""})
+            child.attached._invalidate_cache()
+        return session
+
+    def run(self, sessions, sql):
+        results = []
+        for session in sessions:
+            result = session.execute(sql)
+            results.append((result.rows, result.affected, result.plan,
+                            result.sim_seconds))
+        new, ref = sessions
+        assert results[0] == results[1], sql
+        assert new.cluster.ledger.snapshot() == \
+            ref.cluster.ledger.snapshot(), sql
+        assert new.cluster.metrics.snapshot() == \
+            ref.cluster.metrics.snapshot(), sql
+        return results[0]
+
+    @pytest.mark.parametrize("engine", ["row", "vectorized"])
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_reads_agree_with_row_merge(self, engine, sharded):
+        sessions = [self.build(engine, sharded, row_reads)
+                    for row_reads in (False, True)]
+        run = lambda sql: self.run(sessions, sql)    # noqa: E731
+        # Deletes inside and across whole batches, stripes and a file.
+        run("DELETE FROM t WHERE k % 5 = 2")
+        run("DELETE FROM t WHERE k >= 200 AND k < 300")   # one stripe
+        run("DELETE FROM t WHERE k >= 400 AND k < 464")   # one batch
+        run("DELETE FROM t WHERE k >= 600")               # one file
+        run("UPDATE t SET g = 'u' WHERE k % 4 = 1")
+        # Rewrites the predicate (and primary-key) column: LOOKUP must
+        # read the PK-dirty files whole.
+        run("UPDATE t SET k = k + 1000 WHERE k < 6")
+        assert run("SELECT k, g, v FROM t ORDER BY k")[0]
+        run("SELECT g, count(*), sum(v) FROM t GROUP BY g ORDER BY g")
+        run("SET dualtable.plan = lookup")
+        points = ["k = 7", "k = 1003", "k = 325"]
+        if not sharded:     # ranges span shards: no LOOKUP when sharded
+            points += ["k IN (8, 9, 241)", "k BETWEEN 460 AND 475"]
+        for where in points:
+            result = run("SELECT k, g, v FROM t WHERE %s" % where)
+            assert result[2] == "lookup", where
+        run("SET dualtable.plan = cost")
+        assert run("MERGE INTO t USING src ON t.k = src.k "
+                   "WHEN MATCHED THEN UPDATE SET v = src.v")[1] > 0
+        run("ALTER TABLE t SET DUALTABLE (mode = 'overwrite')")
+        assert run("UPDATE t SET v = v + 1 WHERE k > 50")[2] == \
+            "update-overwrite"
+        run("SELECT k, g, v FROM t ORDER BY k")
+        run("COMPACT TABLE t")
+        run("SELECT k, g, v FROM t ORDER BY k")
