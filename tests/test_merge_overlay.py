@@ -272,11 +272,24 @@ class TestMergeModeSQL:
         assert units[False] == units[True]
         assert all(units[False])
 
-    def test_set_dualtable_merge_is_rejected(self):
+    def test_set_merge_rejects_unknown_strategy(self):
+        # The merge option is gone: every value, formerly valid or not,
+        # is an unknown session option.
         session = HiveSession(profile=ClusterProfile.laptop())
-        with pytest.raises(AnalysisError, match="unknown session option"):
-            session.execute("SET dualtable.merge = row")
+        for strategy in ("eager", "row", "overlay"):
+            with pytest.raises(AnalysisError, match="unknown session option"):
+                session.execute("SET dualtable.merge = %s" % strategy)
         assert session.merge_mode == "overlay"
+
+    def test_merge_mode_env_override(self, monkeypatch):
+        # REPRO_MERGE no longer selects a merge: reads still take the
+        # overlay and report its merge units.
+        monkeypatch.setenv("REPRO_MERGE", "row")
+        session = self.build(row_reads=False)
+        assert session.merge_mode == "overlay"
+        session.execute("SELECT k, v FROM t")
+        counters = session.cluster.metrics.counters
+        assert counters.get("unionread.batches_overlay", 0) > 0
 
 
 class TestReroutedReads:
