@@ -7,7 +7,9 @@ queries over a 20 000-row DualTable, once per plan (`lookup` forced vs
 ledger bytes.  Gates (``--check``):
 
 * **identity** — every query returns byte-identical rows across both
-  plans, both engines (row / vectorized) and simulated clusters of 1 / 4
+  plans, both executors (the production ``vectorized`` one and the
+  ``row`` reference in ``tests/oracle/row_engine.py``) and simulated
+  clusters of 1 / 4
   worker nodes (``ClusterProfile.num_workers``);
 * **latency** — scan p50 / lookup p50 ≥ ``--min-ratio`` (default 20);
 * **bytes** — total scan bytes / total lookup bytes ≥ ``--min-ratio``.
@@ -24,12 +26,18 @@ Exits non-zero if ``--check`` and any gate fails.
 import argparse
 import json
 import math
+import os
 import random
 import sys
 import time
 
 from repro.cluster import ClusterProfile
 from repro.hive import HiveSession
+
+# The reference row executor lives with the tests, at the repository root.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
+from tests.oracle import row_engine  # noqa: E402
 
 
 def build_queries(rng, n, rows):
@@ -54,9 +62,8 @@ def build_queries(rng, n, rows):
 
 
 def build_session(args, engine, num_workers):
-    session = HiveSession(
-        profile=ClusterProfile.laptop(num_workers=num_workers),
-        engine=engine)
+    session = row_engine.use(HiveSession(
+        profile=ClusterProfile.laptop(num_workers=num_workers)), engine)
     session.execute(
         "CREATE TABLE t (k int, v int, name string, PRIMARY KEY (k)) "
         "STORED AS dualtable TBLPROPERTIES "
@@ -150,8 +157,8 @@ def main(argv=None):
                  summary["total_sim_s"], summary["total_bytes"],
                  summary["wall_s"]))
 
-    lookup = summarize(runs[("lookup", "row", 1)])
-    scan = summarize(runs[("scan", "row", 1)])
+    lookup = summarize(runs[("lookup", "vectorized", 1)])
+    scan = summarize(runs[("scan", "vectorized", 1)])
     latency_ratio = scan["p50_s"] / max(lookup["p50_s"], 1e-12)
     bytes_ratio = scan["total_bytes"] / max(lookup["total_bytes"], 1)
     print("scan/lookup p50 latency ratio: %.1fx  (p99: %.1fx)"

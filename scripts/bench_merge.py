@@ -4,15 +4,16 @@
 Two phases over the Zipf-skewed update-heavy scenario
 (:func:`repro.workloads.scenarios.build_zipf_update_scenario`):
 
-* **identity** — the same seeded workload replayed across engines
+* **identity** — the same seeded workload replayed across executors
   row/vectorized x shards 1/4 must produce identical rows, ledger
   bytes/ops (seconds to the identity grain), merge stats and non-cache
   counters.  Attribution: every dirty merge unit is counted in
   ``unionread.batches_overlay`` (no other ``unionread.batches_*``
   counter exists beside ``batches_fast``), and the fast + dirty unit sum
-  is the same in every configuration.
-* **wall-clock** — full scans of an update-heavy DualTable under the
-  vectorized engine: the overlay merge must land within
+  is the same in every configuration.  ``row`` is the reference row
+  executor in ``tests/oracle/row_engine.py``, installed on its session.
+* **wall-clock** — full scans of an update-heavy DualTable on the
+  production executor: the overlay merge must land within
   ``--max-dirty-ratio`` (default 1.10x) of the zero-delta fast path on a
   compacted twin of the same data, and beat the row-fallback merge by at
   least ``--min-speedup`` (default 1.15x).  The row merge is the
@@ -43,9 +44,11 @@ from repro.hive import HiveSession
 from repro.shard.identity import counter_identity_view, ledger_identity_view
 from repro.workloads.scenarios import build_zipf_update_scenario
 
-# The reference row merge lives with the tests, at the repository root.
+# The reference row merge and row executor live with the tests, at the
+# repository root.
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))))
+from tests.oracle import row_engine  # noqa: E402
 from tests.oracle.row_merge import installed  # noqa: E402
 
 #: the merge-unit counters: units the fast path streamed through, and
@@ -63,10 +66,11 @@ def sharded_ddl(table, shards, rows_per_file, stripe_rows):
 
 
 # ----------------------------------------------------------------------
-# Phase 1: engine / shards identity.
+# Phase 1: executor / shards identity.
 # ----------------------------------------------------------------------
 def run_identity_config(engine, shards, rows):
-    session = HiveSession(profile=ClusterProfile.laptop(), engine=engine)
+    session = row_engine.use(HiveSession(profile=ClusterProfile.laptop()),
+                             engine)
     scenario = build_zipf_update_scenario(
         rows=rows, updates=6, deletes=2, scans=3, keys_per_stmt=12,
         dirty_fraction=0.4, seed=29)
@@ -273,9 +277,9 @@ def main(argv=None):
         "identity": identity_phase(args, failures),
         "wallclock": wallclock_phase(args, failures),
         "contract": "rows, ledger bytes/ops, merge stats and non-cache "
-                    "counters byte-identical across engines row/vectorized "
-                    "x shards 1/4; every dirty merge unit attributed to "
-                    "the overlay",
+                    "counters byte-identical across executors "
+                    "row/vectorized x shards 1/4; every dirty merge unit "
+                    "attributed to the overlay",
     }
     report["failures"] = failures
     with open(args.out, "w") as fh:

@@ -4,7 +4,7 @@
 Three phases over ``SHARDED BY (k) INTO n`` DualTables:
 
 * **identity** — one mixed scan/DML/point workload replayed at shards
-  1/4/8 x engines row/vectorized must produce identical
+  1/4/8 x executors row/vectorized must produce identical
   rows, ledger bytes/ops (seconds to the identity grain) and non-cache
   counters (the :mod:`repro.shard.identity` fingerprint — the same gate
   ``tests/test_shard.py`` enforces);
@@ -28,6 +28,7 @@ Exits non-zero if ``--check`` and any gate fails.
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -37,6 +38,11 @@ from repro.hive import HiveSession
 from repro.hive.parser import parse
 from repro.hive.pushdown import extract_ranges
 from repro.shard.identity import identity_fingerprint
+
+# The reference row executor lives with the tests, at the repository root.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
+from tests.oracle import row_engine  # noqa: E402
 
 IDENTITY_WORKLOAD = [
     "SELECT count(*), sum(v) FROM t",
@@ -49,8 +55,11 @@ IDENTITY_WORKLOAD = [
 ]
 
 
-def build_session(shards, rows, engine="row", rows_per_file=50):
-    session = HiveSession(profile=ClusterProfile.laptop(), engine=engine)
+def build_session(shards, rows, engine="vectorized", rows_per_file=50):
+    """``engine="row"`` runs SELECTs on the reference row executor
+    (``tests/oracle/row_engine.py``)."""
+    session = row_engine.use(HiveSession(profile=ClusterProfile.laptop()),
+                             engine)
     session.execute(
         "CREATE TABLE t (k int, grp string, v int) PRIMARY KEY (k) "
         "STORED AS dualtable SHARDED BY (k) INTO %d "

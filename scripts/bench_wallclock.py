@@ -1,11 +1,13 @@
 #!/usr/bin/env python
-"""Wall-clock benchmark: row engine vs vectorized batch engine.
+"""Wall-clock benchmark: vectorized executor vs the row reference.
 
-Times the same queries under both engines on one session and writes
+Times the same queries on one session twice: on the production
+(``vectorized``) executor, and with the reference row executor of
+``tests/oracle/row_engine.py`` installed (``row``).  Writes
 ``BENCH_vectorized.json`` with rows/sec and speedups.  The simulated
 side of the contract is asserted inline: result rows and simulated
-seconds must be byte-identical across engines (vectorization buys wall
-clock only).
+seconds must be byte-identical across the two executors (vectorization
+buys wall clock only).
 
 Benchmarked queries:
 
@@ -15,7 +17,9 @@ Benchmarked queries:
 * ``union_read_clean`` — DualTable scan right after COMPACT (zero
   attached deltas: every batch takes the fast path),
 * ``union_read_dirty`` — the same data with update deltas attached to
-  every master file (worst case: every batch row-merges).
+  every master file (every file's dirty batches go through the overlay),
+* ``join``          — ``t_dirty`` joined to a 7-row dimension table on
+  ``v`` (reduce-side join; the map side evaluates the join keys).
 
 Usage::
 
@@ -29,13 +33,20 @@ on noisy shared machines (CI uses --quick without it).
 """
 
 import argparse
+import contextlib
 import gc
 import json
+import os
 import sys
 import time
 
 from repro.cluster import ClusterProfile
 from repro.hive import HiveSession
+
+# The reference row executor lives with the tests, at the repository root.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
+from tests.oracle import row_engine  # noqa: E402
 
 QUERIES = [
     ("scan", "SELECT k, grp, v, w FROM t_orc"),
@@ -45,15 +56,17 @@ QUERIES = [
      "SELECT grp, count(*), sum(v), avg(w) FROM t_orc GROUP BY grp"),
     ("union_read_clean", "SELECT k, grp, v, w FROM t_clean"),
     ("union_read_dirty", "SELECT k, grp, v, w FROM t_dirty"),
+    ("join", "SELECT t.k, d.label FROM t_dirty t JOIN d ON t.v = d.j"),
 ]
 
 
 def build_session(rows):
-    """One session with the three benchmark tables loaded.
+    """One session with the four benchmark tables loaded.
 
     ``t_clean`` and ``t_dirty`` get identical spread UPDATEs (one thin
     slice per master file, so *every* file carries deltas); ``t_clean``
-    is then compacted back to zero deltas.
+    is then compacted back to zero deltas.  ``d`` is the join's
+    dimension table, one row per value of ``v``.
     """
     session = HiveSession(profile=ClusterProfile.laptop())
     rows_per_file = max(1000, rows // 16)
@@ -81,6 +94,8 @@ def build_session(rows):
                 "UPDATE %s SET v = 99 WHERE k >= %d AND k < %d"
                 % (name, lo, lo + slice_rows))
     session.execute("COMPACT TABLE t_clean")
+    session.execute("CREATE TABLE d (j int, label string) STORED AS orc")
+    session.load_rows("d", [(j, "label-%d" % j) for j in range(7)])
     return session
 
 
@@ -88,8 +103,8 @@ def time_query(session, sql, repeat):
     """Best-of-``repeat`` wall time after one warmup run.
 
     The collector is drained before and paused during each timed run so
-    a GC cycle triggered by one engine's garbage doesn't land in the
-    other engine's measurement.
+    a GC cycle triggered by one executor's garbage doesn't land in the
+    other executor's measurement.
     """
     session.execute(sql)                       # warmup (caches, codegen)
     best_wall = float("inf")
@@ -132,27 +147,30 @@ def main(argv=None):
     benchmarks = {}
     oracle = {}
     for engine in ("row", "vectorized"):
-        session.set_engine(engine)
-        for name, sql in QUERIES:
-            result, wall = time_query(session, sql, repeat)
-            stats = {"wall_s": round(wall, 6),
-                     "rows_per_s": round(rows / wall, 1),
-                     "sim_seconds": round(result.sim_seconds, 6)}
-            benchmarks.setdefault(name, {"rows": rows})[engine] = stats
-            print("%-18s %-10s wall=%8.4fs  %12s rows/s"
-                  % (name, engine, wall,
-                     format(int(rows / wall), ",")))
-            # Simulated contract: rows and sim time match across engines.
-            key = (name, tuple(map(tuple, result.rows)),
-                   stats["sim_seconds"])
-            if name in oracle:
-                if oracle[name] != key:
-                    print("FAIL: %s differs between engines (simulated "
-                          "output must be identical)" % name,
-                          file=sys.stderr)
-                    return 1
-            else:
-                oracle[name] = key
+        executor = (row_engine.installed(session) if engine == "row"
+                    else contextlib.nullcontext())
+        with executor:
+            for name, sql in QUERIES:
+                result, wall = time_query(session, sql, repeat)
+                stats = {"wall_s": round(wall, 6),
+                         "rows_per_s": round(rows / wall, 1),
+                         "sim_seconds": round(result.sim_seconds, 6)}
+                benchmarks.setdefault(name, {"rows": rows})[engine] = stats
+                print("%-18s %-10s wall=%8.4fs  %12s rows/s"
+                      % (name, engine, wall,
+                         format(int(rows / wall), ",")))
+                # Simulated contract: rows and sim time match across
+                # executors.
+                key = (name, tuple(map(tuple, result.rows)),
+                       stats["sim_seconds"])
+                if name in oracle:
+                    if oracle[name] != key:
+                        print("FAIL: %s differs between executors "
+                              "(simulated output must be identical)"
+                              % name, file=sys.stderr)
+                        return 1
+                else:
+                    oracle[name] = key
 
     for name, entry in benchmarks.items():
         entry["speedup"] = round(
@@ -172,7 +190,8 @@ def main(argv=None):
         "benchmarks": benchmarks,
         "fastpath": fastpath,
         "contract": "result rows and sim_seconds verified identical "
-                    "across engines for every query",
+                    "across the vectorized and row executors for every "
+                    "query",
     }
     with open(args.out, "w") as handle:
         json.dump(doc, handle, indent=1, sort_keys=True)

@@ -16,10 +16,12 @@ server statement spans::
 
 ``--check`` is the CI smoke mode: every workload must (a) produce
 exactly its expected finding set, (b) schema-validate, and (c) serialize
-byte-identically across a rerun and ``engine=row`` vs ``vectorized``.  Exits nonzero on any violation.
+byte-identically across a rerun and a run on the reference row executor
+(``tests/oracle/row_engine.py``).  Exits nonzero on any violation.
 """
 
 import argparse
+import os
 import sys
 
 from repro.advisor import WorkloadAdvisor
@@ -30,10 +32,20 @@ from repro.obs.dashboard import (advisor_document, to_json,
                                  validate_advisor_document,
                                  write_dashboard)
 
+# The reference row executor lives with the tests, at the repository root.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
+from tests.oracle import row_engine  # noqa: E402
 
-def run_and_document(name, seed=0, engine=None, trace=False):
-    """Run one canned workload; returns ``(doc, outcome-dict)``."""
-    session = build_session(engine=engine)
+
+def run_and_document(name, seed=0, trace=False, row_executor=False):
+    """Run one canned workload; returns ``(doc, outcome-dict)``.
+
+    ``row_executor`` runs it on the reference row executor.
+    """
+    session = build_session()
+    if row_executor:
+        row_engine.install(session)
     if trace:
         session.cluster.tracer.enable()
     outcome = RUNNERS[name](session, seed=seed)
@@ -56,7 +68,7 @@ def check_workload(name, seed):
         errors.append("%s: findings %s != expected %s"
                       % (name, got, want))
     variants = [("rerun", dict()),
-                ("engine=vectorized", dict(engine="vectorized"))]
+                ("the row executor", dict(row_executor=True))]
     for label, kwargs in variants:
         variant_doc, _ = run_and_document(name, seed=seed, **kwargs)
         if to_json(variant_doc) != baseline:
@@ -74,7 +86,7 @@ def main(argv=None):
     parser.add_argument("--check", action="store_true",
                         help="CI smoke: assert expected findings, schema "
                              "validity and byte-identical artifacts "
-                             "across reruns/engines")
+                             "across a rerun and the row executor")
     args = parser.parse_args(argv)
     failures = []
     for name in WORKLOAD_NAMES:

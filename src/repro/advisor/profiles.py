@@ -12,7 +12,7 @@ the maintenance daemon advances from the same counters anyway — the
 collector is idempotent over unchanged counter values).
 
 Determinism: every input is a registry counter/histogram (byte-identical
-across engines) or static handler
+across executors) or static handler
 configuration, so two identical workloads yield identical profiles.
 """
 

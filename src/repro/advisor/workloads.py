@@ -6,7 +6,7 @@ mixed HTAP (through a :class:`DualTableServer` with competing tenants)
 CI ``advisor-smoke`` job, ``scripts/export_dashboard.py`` and
 ``tests/test_advisor.py`` all run these and assert the finding sets in
 :data:`EXPECTED_FINDINGS`, byte-identical across two runs and
-execution engines.
+under the row reference executor.
 
 Everything is seeded through :mod:`repro.common.rng`; no wall-clock
 value ever reaches a statement or a finding.
@@ -45,11 +45,11 @@ EXPECTED_FINDINGS = {
 }
 
 
-def build_session(engine=None, batch_rows=None):
+def build_session(batch_rows=None):
     """A fresh laptop-profile session for one canned workload."""
     from repro.hive import HiveSession
 
-    return HiveSession(profile=ClusterProfile.laptop(), engine=engine,
+    return HiveSession(profile=ClusterProfile.laptop(),
                        batch_rows=batch_rows)
 
 
@@ -176,10 +176,10 @@ RUNNERS = {"scan_heavy": run_scan_heavy,
            "mixed": run_mixed}
 
 
-def run_workload(name, seed=0, engine=None):
+def run_workload(name, seed=0):
     """Build a fresh session and run one canned workload by name."""
     if name not in RUNNERS:
         raise ValueError("unknown workload %r (choose from %s)"
                          % (name, "/".join(WORKLOAD_NAMES)))
-    session = build_session(engine=engine)
+    session = build_session()
     return RUNNERS[name](session, seed=seed)

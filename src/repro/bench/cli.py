@@ -16,7 +16,7 @@ import time
 
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.report import render
-from repro.bench.runners import SCALES, profiled_experiment, set_engine
+from repro.bench.runners import SCALES, profiled_experiment
 
 
 def build_parser():
@@ -40,11 +40,6 @@ def build_parser():
                              "trace-event format, load in about:tracing "
                              "or Perfetto) plus DIR/<experiment>"
                              ".metrics.json")
-    parser.add_argument("--engine", choices=("row", "vectorized"),
-                        default=None,
-                        help="execution engine (wall clock only; "
-                             "simulated output is identical either way; "
-                             "default: the session default, vectorized)")
     return parser
 
 
@@ -63,7 +58,6 @@ def main(argv=None):
                   file=sys.stderr)
             return 2
         names = [args.experiment]
-    set_engine(args.engine)
     for name in names:
         started = time.time()
         if args.profile:

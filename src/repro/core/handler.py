@@ -252,7 +252,7 @@ class DualTableHandler(StorageHandler):
         splits = [split_for(path) for path in self.master.file_paths()]
         # Workload-profile hook: per-table scanned-bytes histogram (the
         # advisor's "bytes read" axis).  Split sizes are control-plane
-        # metadata, identical for either engine.
+        # metadata, identical for every executor.
         self.env.cluster.metrics.observe(
             "dualtable.scan_bytes.%s" % self.table.name,
             sum(split.size_bytes for split in splits))
@@ -289,7 +289,7 @@ class DualTableHandler(StorageHandler):
 
         The unit grid is per *stripe* — control-plane arithmetic over
         footer spans and delta positions, so the counts are
-        byte-identical across engines, shards and the batch-size
+        byte-identical across executors, shards and the batch-size
         knob.  Dirty units are the ones the overlay patches
         (``batches_overlay``).
         """
@@ -317,7 +317,7 @@ class DualTableHandler(StorageHandler):
         """Columnar UNION READ of one master file.
 
         Every DualTable read comes through here or
-        :meth:`_merged_batches`: SELECT under either engine, LOOKUP,
+        :meth:`_merged_batches`: SELECT scans and joins, LOOKUP,
         COMPACT, MERGE INTO and the EDIT plan's :meth:`locate_split`.
         Each pays the footer + stripe-column bytes via the ORC reader,
         the delta scan via ``scan_file``, the per-output-row

@@ -381,12 +381,12 @@ def classify_merge_units(spans, positions):
     """``(fast_units, dirty_units)`` over a file's merge-unit grid.
 
     ``spans`` are the surviving stripes' ``(first_row, num_rows)`` pairs
-    — the canonical merge-unit grid, independent of engine and of the
+    — the canonical merge-unit grid, independent of executor and of the
     session batch-size knob — and ``positions`` the file's sorted delta
     row numbers.  A unit any delta position falls into is *dirty* (the
     merge strategy must do per-delta work there); the rest stream
     through the fast path.  Pure control-plane arithmetic: no charges,
-    byte-identical across engines and shards.
+    byte-identical across executors and shards.
     """
     fast = 0
     dirty = 0

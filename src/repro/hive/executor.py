@@ -48,17 +48,6 @@ class ScanSource:
     def splits(self):
         return self.handler.scan_splits(self.projection, self.ranges)
 
-    def make_reader(self):
-        handler = self.handler
-        predicate = (compile_expr(self.filter_expr, self.env)
-                     if self.filter_expr is not None else None)
-
-        def read(split, ctx):
-            for values in handler.read_split(split, ctx):
-                if predicate is None or is_true(predicate(values)):
-                    yield values
-        return read
-
     def make_batch_reader(self, batch_rows=DEFAULT_BATCH_ROWS):
         handler = self.handler
         predicate = (compile_batch_predicate(self.filter_expr, self.env)
@@ -93,12 +82,6 @@ class MaterializedSource:
                        label="mem[%d]" % i)
             for i in range(0, len(self.rows), chunk_rows)
         ]
-
-    def make_reader(self):
-        def read(split, ctx):
-            ctx.cluster.charge_hdfs_read(split.size_bytes)
-            yield from split.payload
-        return read
 
     def make_batch_reader(self, batch_rows=DEFAULT_BATCH_ROWS):
         width = self.env.width
@@ -156,11 +139,6 @@ class SelectExecutor:
         return self.session.env.runner
 
     @property
-    def engine(self):
-        """``"row"`` or ``"vectorized"`` — a wall-clock-only choice."""
-        return getattr(self.session, "engine", "row")
-
-    @property
     def plan_mode(self):
         """``cost`` (default), or the forced ``lookup`` / ``scan`` knob."""
         return getattr(self.session, "plan_mode", "cost")
@@ -173,9 +151,8 @@ class SelectExecutor:
         """Splits for a relation, honoring the session batch-size knob.
 
         The knob is shared deliberately: a MaterializedSource split is
-        exactly one batch on the vectorized path, so one setting governs
-        both task granularity and batch sizing (task count affects
-        simulated time identically under either engine).
+        exactly one batch, so one setting governs both task granularity
+        and batch sizing.
         """
         if isinstance(relation, MaterializedSource):
             return relation.splits(chunk_rows=self.batch_rows)
@@ -266,7 +243,7 @@ class SelectExecutor:
         return expr
 
     def _run_subquery(self, query):
-        sub = SelectExecutor(self.session)
+        sub = type(self)(self.session)
         result = sub.run(query)
         self.jobs.extend(sub.jobs)
         return result
@@ -473,8 +450,6 @@ class SelectExecutor:
             raise AnalysisError(
                 "join requires at least one equi-condition: %r"
                 % (join.condition,))
-        left_keys = [compile_expr(l, left_env) for l, _ in equi]
-        right_keys = [compile_expr(r, right_env) for _, r in equi]
         leftover_fn = (compile_expr(leftover, merged_env)
                        if leftover is not None else None)
         left_width, right_width = left_env.width, right_env.width
@@ -486,66 +461,7 @@ class SelectExecutor:
                   + [InputSplit(payload=("R", s), size_bytes=s.size_bytes,
                                 label="R:" + s.label)
                      for s in self._splits(right)])
-
-        if self.engine == "vectorized":
-            sides = {
-                "L": (left.make_batch_reader(self.batch_rows),
-                      [compile_batch(l, left_env) for l, _ in equi],
-                      kind in ("left", "full")),
-                "R": (right.make_batch_reader(self.batch_rows),
-                      [compile_batch(r, right_env) for _, r in equi],
-                      kind in ("right", "full")),
-            }
-
-            def map_fn(split, ctx):
-                # Same NULL-key sentinel scheme as the row path below:
-                # (task_index, local_i) in reader order, so both engines
-                # assign identical sentinels.
-                side, inner = split.payload
-                reader, key_bexprs, outer = sides[side]
-                local_i = 0
-                for batch in reader(inner, ctx):
-                    key_cols = [fn(batch.columns, batch.length)
-                                for fn in key_bexprs]
-                    for i, values in enumerate(batch.rows()):
-                        key = tuple(kc[i] for kc in key_cols)
-                        if any(k is None for k in key):
-                            if outer:
-                                yield (("\x00null", ctx.task_index, local_i),
-                                       (side, values))
-                                local_i += 1
-                            continue
-                        yield key, (side, values)
-        else:
-            left_reader = left.make_reader()
-            right_reader = right.make_reader()
-
-            def map_fn(split, ctx):
-                # NULL-key sentinels are unique per row so null keys never
-                # group; keyed by (task_index, local_i) so key assignment
-                # is a function of the splits alone.
-                side, inner = split.payload
-                local_i = 0
-                if side == "L":
-                    for values in left_reader(inner, ctx):
-                        key = tuple(k(values) for k in left_keys)
-                        if any(k is None for k in key):
-                            if kind in ("left", "full"):
-                                yield (("\x00null", ctx.task_index, local_i),
-                                       ("L", values))
-                                local_i += 1
-                            continue
-                        yield key, ("L", values)
-                else:
-                    for values in right_reader(inner, ctx):
-                        key = tuple(k(values) for k in right_keys)
-                        if any(k is None for k in key):
-                            if kind in ("right", "full"):
-                                yield (("\x00null", ctx.task_index, local_i),
-                                       ("R", values))
-                                local_i += 1
-                            continue
-                        yield key, ("R", values)
+        map_fn = self._join_map(left, right, equi, kind)
 
         def reduce_fn(key, tagged, ctx):
             lefts = [v for tag, v in tagged if tag == "L"]
@@ -588,6 +504,40 @@ class SelectExecutor:
         # Hive writes inter-job results to HDFS temp files.
         self.cluster.charge_hdfs_write(source.bytes_estimate)
         return source
+
+    def _join_map(self, left, right, equi, kind):
+        """Map side of the reduce-side join: ``(key, (side, values))``.
+
+        Key expressions are evaluated a batch at a time.  NULL keys never
+        match, so each such row of an outer side gets a unique sentinel
+        key, ``(task_index, local_i)`` in reader order: key assignment is
+        a function of the splits alone.
+        """
+        sides = {
+            "L": (left.make_batch_reader(self.batch_rows),
+                  [compile_batch(l, left.env) for l, _ in equi],
+                  kind in ("left", "full")),
+            "R": (right.make_batch_reader(self.batch_rows),
+                  [compile_batch(r, right.env) for _, r in equi],
+                  kind in ("right", "full")),
+        }
+
+        def map_fn(split, ctx):
+            side, inner = split.payload
+            reader, key_bexprs, outer = sides[side]
+            local_i = 0
+            for batch in reader(inner, ctx):
+                key_cols = [fn(batch.columns, batch.length)
+                            for fn in key_bexprs]
+                for key, values in zip(zip(*key_cols), batch.rows()):
+                    if None in key:
+                        if outer:
+                            yield (("\x00null", ctx.task_index, local_i),
+                                   (side, values))
+                            local_i += 1
+                        continue
+                    yield key, (side, values)
+        return map_fn
 
     def _split_join_condition(self, condition, left_env, right_env):
         equi, leftover = [], []
@@ -661,28 +611,24 @@ class SelectExecutor:
             rows = [tuple(fn(r) for fn in compiled) for r in source_rows]
             self.cluster.charge_cpu_rows(len(source_rows))
             return names, rows
-        if self.engine == "vectorized":
-            bexprs = [compile_batch(item.expr, relation.env)
-                      for item in items]
-            reader = relation.make_batch_reader(self.batch_rows)
-
-            def map_fn(split, ctx):
-                for batch in reader(split, ctx):
-                    cols = [fn(batch.columns, batch.length) for fn in bexprs]
-                    yield from zip(*cols)
-        else:
-            reader = relation.make_reader()
-
-            def map_fn(split, ctx):
-                for values in reader(split, ctx):
-                    yield tuple(fn(values) for fn in compiled)
-
+        map_fn = self._projection_map(items, relation)
         job = Job(name="select-scan", splits=self._splits(relation),
                   map_fn=map_fn, reduce_fn=None,
                   properties={"shard_fanout": self._fanout(relation)})
         result = self.runner.run(job)
         self.jobs.append(result)
         return names, result.outputs
+
+    def _projection_map(self, items, relation):
+        """Map side of a SELECT scan: the items over each batch."""
+        bexprs = [compile_batch(item.expr, relation.env) for item in items]
+        reader = relation.make_batch_reader(self.batch_rows)
+
+        def map_fn(split, ctx):
+            for batch in reader(split, ctx):
+                cols = [fn(batch.columns, batch.length) for fn in bexprs]
+                yield from zip(*cols)
+        return map_fn
 
     # ------------------------------------------------------------------
     # LOOKUP routing (the plan that skips MapReduce entirely).
@@ -779,7 +725,6 @@ class SelectExecutor:
         validate_no_nested_aggregates(agg_calls)
 
         input_env = relation.env
-        key_fns = [compile_expr(e, input_env) for e in group_by]
         specs = []
         for call in agg_calls:
             star = (not call.args) or isinstance(call.args[0], ast.Star)
@@ -791,26 +736,7 @@ class SelectExecutor:
             specs.append(AggregateSpec(call.name, arg_fn,
                                        distinct=call.distinct,
                                        count_star=star))
-        if self.engine == "vectorized":
-            map_fn = self._vectorized_agg_map(relation, group_by, agg_calls,
-                                              specs)
-        else:
-            reader = relation.make_reader()
-
-            def map_fn(split, ctx):
-                # Hash aggregation in the mapper (Hive map-side
-                # aggregation).
-                table = {}
-                for values in reader(split, ctx):
-                    key = tuple(fn(values) for fn in key_fns)
-                    accs = table.get(key)
-                    if accs is None:
-                        accs = [spec.init() for spec in specs]
-                        table[key] = accs
-                    for i, spec in enumerate(specs):
-                        accs[i] = spec.add(accs[i], values)
-                for key, accs in table.items():
-                    yield key, accs
+        map_fn = self._aggregate_map(relation, group_by, agg_calls, specs)
 
         def reduce_fn(key, acc_lists, ctx):
             merged = None
@@ -849,8 +775,8 @@ class SelectExecutor:
         self.cluster.charge_cpu_rows(len(result.outputs))
         return names, rows
 
-    def _vectorized_agg_map(self, relation, group_by, agg_calls, specs):
-        """Map-side hash aggregation consuming ColumnBatches.
+    def _aggregate_map(self, relation, group_by, agg_calls, specs):
+        """Map-side hash aggregation (Hive map-side aggregation).
 
         Keys and aggregate arguments are evaluated column-at-a-time;
         accumulators fold pre-evaluated values via ``add_value``.  The

@@ -24,7 +24,7 @@ The insert arm appends through the handler's normal insert path.
 from repro.common.errors import AnalysisError
 from repro.mapreduce import Job
 from repro.hive import ast_nodes as ast
-from repro.hive.executor import SelectExecutor, merge_envs
+from repro.hive.executor import merge_envs
 from repro.hive.expressions import Env, compile_expr, referenced_columns, walk
 
 
@@ -132,7 +132,7 @@ def _load_source(session, stmt):
     """Materialize the USING source; returns (rows, env bound to alias)."""
     select = ast.SelectStmt(items=[ast.SelectItem(expr=ast.Star())],
                             source=stmt.source)
-    executor = SelectExecutor(session)
+    executor = session.executor_class(session)
     result = executor.run(select)
     session._dml_subquery_jobs = executor.jobs
     env = Env()

@@ -37,11 +37,6 @@ register_handler("orc", OrcHdfsHandler)
 register_handler("orc-partitioned", PartitionedOrcHandler)
 register_handler("hbase", HBaseTableHandler)
 
-#: Execution engines: identical simulated charges, metrics and results;
-#: the vectorized engine only changes wall-clock speed (INTERNALS §8).
-ENGINES = ("row", "vectorized")
-DEFAULT_ENGINE = "vectorized"
-
 
 @dataclass
 class QueryResult:
@@ -70,12 +65,15 @@ class HiveSession:
     #: The UNION READ merge: always the columnar delta overlay
     #: (INTERNALS §14).  A constant, kept for callers that record it.
     merge_mode = "overlay"
+    #: SELECT execution: always vectorized batches (INTERNALS §8).  A
+    #: constant, kept for callers that record it.
+    engine = "vectorized"
+    #: The SELECT executor class.  Only tests replace it, on one session
+    #: (``tests/oracle/row_engine.py`` installs the row executor).
+    executor_class = SelectExecutor
 
-    def __init__(self, cluster=None, profile=None, engine=None,
-                 batch_rows=None):
+    def __init__(self, cluster=None, profile=None, batch_rows=None):
         self.cluster = cluster or Cluster(profile or ClusterProfile.laptop())
-        self.set_engine(engine or os.environ.get("REPRO_ENGINE")
-                        or DEFAULT_ENGINE)
         self.set_batch_rows(batch_rows
                             if batch_rows is not None
                             else os.environ.get("REPRO_BATCH_ROWS")
@@ -131,29 +129,14 @@ class HiveSession:
         from repro.shard import sharded as _sharded_handler   # noqa: F401
 
     # ------------------------------------------------------------------
-    # Engine configuration (wall-clock-only knobs).
+    # Batch size (a wall-clock and task-granularity knob).
     # ------------------------------------------------------------------
-    def set_engine(self, engine):
-        """Select ``"row"`` or ``"vectorized"`` execution.
-
-        Both engines produce byte-identical results, simulated charges
-        and metric values; the choice affects wall-clock speed only.
-        Also settable per process via ``REPRO_ENGINE``.
-        """
-        engine = str(engine).lower()
-        if engine not in ENGINES:
-            raise ValueError("unknown engine %r (choose from %s)"
-                             % (engine, "/".join(ENGINES)))
-        self.engine = engine
-        return self
-
     def set_batch_rows(self, batch_rows):
         """Set the shared split/batch granularity (bounds-validated).
 
         One knob governs MaterializedSource split chunking and
         ColumnBatch sizing (a materialized split is exactly one batch).
-        Changing it changes task counts — and therefore simulated
-        time — identically under either engine.
+        Changing it changes task counts, and therefore simulated time.
         """
         from repro.vector import validate_batch_rows
         self.batch_rows = validate_batch_rows(batch_rows)
@@ -194,8 +177,8 @@ class HiveSession:
         self.cluster.metrics.incr("session.statements.%s" % verb)
         if self._stmt_depth == 0:
             # Latency histograms observe *simulated* seconds, so the
-            # distributions (and the advisor reading them) are identical
-            # across engine=row/vectorized.
+            # distributions (and the advisor reading them) do not depend
+            # on wall-clock speed.
             self.cluster.metrics.observe("statement.seconds",
                                          result.sim_seconds)
             self.cluster.metrics.observe("statement.seconds.%s" % verb,
@@ -482,7 +465,7 @@ class HiveSession:
     # SELECT.
     # ------------------------------------------------------------------
     def _select(self, stmt):
-        executor = SelectExecutor(self)
+        executor = self.executor_class(self)
         result = executor.run(stmt)
         sim = (sum(job.sim_seconds for job in executor.jobs)
                + executor.lookup_seconds)
@@ -553,7 +536,7 @@ class HiveSession:
                     for row in stmt.values]
             select_seconds = 0.0
         else:
-            executor = SelectExecutor(self)
+            executor = self.executor_class(self)
             result = executor.run(stmt.query)
             rows = result.rows
             jobs = executor.jobs
@@ -596,7 +579,7 @@ class HiveSession:
 
     def _resolve_dml_subqueries(self, stmt):
         """Materialize scalar/IN subqueries in SET and WHERE clauses."""
-        executor = SelectExecutor(self)
+        executor = self.executor_class(self)
         self._dml_subquery_jobs = []
         def rewrite(expr):
             if expr is None:

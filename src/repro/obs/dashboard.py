@@ -14,9 +14,9 @@ Two artifacts from one :func:`advisor_document`:
 
 Determinism contract: the document is a pure function of registry
 state, handler configuration and the virtual clock — it contains no
-wall-clock timestamps, no engine name — and the JSON serialization
+wall-clock timestamps, no executor name — and the JSON serialization
 sorts keys, so a fixed seed yields byte-identical artifacts across runs
-and ``engine=row/vectorized``.
+and under the reference row executor (``tests/oracle/row_engine.py``).
 """
 
 import json
@@ -64,7 +64,7 @@ def advisor_document(session, findings=None, series=None, workload=None):
         # The wall-clock caches are the one corner of the registry that
         # depends on cache state rather than on the workload (INTERNALS
         # §6) — their counters stay out of the document so the
-        # byte-identical guarantee holds across engines and budgets.
+        # byte-identical guarantee holds across executors and budgets.
         "counters": {name: snapshot["counters"][name]
                      for name in sorted(snapshot["counters"])
                      if not name.startswith("cache.")},

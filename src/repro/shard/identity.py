@@ -52,7 +52,7 @@ def identity_fingerprint(session, transcript):
     """Everything one run must share with every other shard count.
 
     ``transcript`` is a list of ``(sql, rows)`` pairs; the returned
-    triple compares equal across ``INTO 1/4/8`` and both engines iff
+    triple compares equal across ``INTO 1/4/8`` and both executors iff
     the identity contract holds.
     """
     cluster = session.cluster

@@ -12,7 +12,7 @@ tests and for ``scripts/bench_merge.py``'s row-merge timing.
 :func:`install` swaps them into one handler instance (each child of a
 sharded handler): ``read_split`` and ``read_split_with_rids`` then merge
 row at a time, ``read_split_batches`` re-packs dirty batches row at a
-time, so SELECT under either engine, LOOKUP, COMPACT and MERGE INTO all
+time, so SELECT (on either executor), LOOKUP, COMPACT and MERGE INTO all
 read through the row merge.  The EDIT plan's locate
 (:meth:`~repro.core.handler.DualTableHandler.locate_split`) stays on the
 overlay.  Charges and counters are the production ones: the per-file

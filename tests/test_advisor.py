@@ -3,7 +3,8 @@
 The canned workloads in :mod:`repro.advisor.workloads` are the
 acceptance oracle — each must trip exactly its expected finding set,
 and the exported advisor document must serialize byte-identically
-across reruns and execution engines.
+across reruns and under the row reference executor
+(:mod:`tests.oracle.row_engine`).
 """
 
 import dataclasses
@@ -14,8 +15,9 @@ import pytest
 from repro.advisor import (FINDING_COLUMNS, Finding, WorkloadAdvisor,
                            apply_findings, build_profiles)
 from repro.advisor.analyzer import DRIFT_REL_ERROR, MIN_AUDITS
-from repro.advisor.workloads import (EXPECTED_FINDINGS, WORKLOAD_NAMES,
-                                     build_session, run_workload)
+from repro.advisor.workloads import (EXPECTED_FINDINGS, RUNNERS,
+                                     WORKLOAD_NAMES, build_session,
+                                     run_workload)
 from repro.cluster import ClusterProfile
 from repro.hive import HiveSession
 from repro.obs import export
@@ -23,6 +25,7 @@ from repro.obs.dashboard import (advisor_document, metrics_document,
                                  render_dashboard_html, to_json,
                                  validate_advisor_document,
                                  write_dashboard)
+from tests.oracle import row_engine
 
 
 def finding_pairs(findings):
@@ -135,20 +138,21 @@ class TestCannedWorkloads:
 
 
 # ----------------------------------------------------------------------
-# Determinism: byte-identical documents across runs/engines.
+# Determinism: byte-identical documents across runs/executors.
 # ----------------------------------------------------------------------
 class TestDeterminism:
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
     def test_document_byte_identical(self, name):
-        def doc_bytes(**kwargs):
-            outcome = run_workload(name, **kwargs)
+        def doc_bytes(engine="vectorized"):
+            session = row_engine.use(build_session(), engine)
+            outcome = RUNNERS[name](session, seed=0)
             return to_json(advisor_document(
                 outcome["session"], series=outcome["series"],
                 workload=name))
 
         baseline = doc_bytes()
         assert doc_bytes() == baseline                       # rerun
-        assert doc_bytes(engine="vectorized") == baseline    # engine
+        assert doc_bytes("row") == baseline                  # row executor
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from repro.cluster import ClusterProfile
 from repro.common.rng import make_rng
 from repro.core.record_id import encode_record_id
 from repro.hive import HiveSession
-from tests.oracle import row_merge
+from tests.oracle import row_engine, row_merge
 from tests.oracle.row_locate import install
 
 ROWS = 1200
@@ -34,8 +34,8 @@ def table_rows():
 
 def build(engine="vectorized", sharded=False, batch_rows=None,
           row_reads=False):
-    session = HiveSession(profile=ClusterProfile.laptop(), engine=engine,
-                          batch_rows=batch_rows)
+    session = row_engine.use(HiveSession(profile=ClusterProfile.laptop(),
+                                         batch_rows=batch_rows), engine)
     session.execute(
         "CREATE TABLE t (k int, g string, v int, w double) "
         "STORED AS DUALTABLE %s TBLPROPERTIES ("

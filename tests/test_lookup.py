@@ -18,6 +18,7 @@ from repro.faults import Fault, FaultPlan
 from repro.hive import HiveSession
 from repro.hive import ast_nodes as ast
 from repro.hive.parser import parse
+from tests.oracle import row_engine
 
 ROWS = [(i, i * 10, "n%03d" % i) for i in range(100)]
 
@@ -261,8 +262,7 @@ class TestScanParity:
 
     @pytest.mark.parametrize("engine", ["row", "vectorized"])
     def test_engines_agree_on_lookup_rows(self, engine):
-        session = build_session(mode="edit")
-        session.set_engine(engine)
+        session = row_engine.use(build_session(mode="edit"), engine)
         session.execute("UPDATE t SET v = 0 WHERE k BETWEEN 20 AND 29")
         looked, scanned = lookup_vs_scan(
             session, "SELECT k, v, name FROM t WHERE k BETWEEN 18 AND 23")

@@ -22,7 +22,7 @@ from repro.core.attached import DeltaRecord
 from repro.core.record_id import encode_record_id
 from repro.hive import HiveSession
 from repro.vector import ColumnBatch
-from tests.oracle import row_merge
+from tests.oracle import row_engine, row_merge
 
 FILE_ID = 3
 WIDTH = 3           # schema columns 0, 1, 2
@@ -238,8 +238,7 @@ class TestMergeModeSQL:
     def test_strategies_agree_end_to_end(self, engine):
         results = {}
         for row_reads in (False, True):
-            session = self.build(row_reads)
-            session.set_engine(engine)
+            session = row_engine.use(self.build(row_reads), engine)
             result = session.execute("SELECT k, v FROM t ORDER BY k")
             counters = session.cluster.metrics.counters
             results[row_reads] = (result.rows, result.sim_seconds,
@@ -293,7 +292,7 @@ class TestMergeModeSQL:
 
 
 class TestReroutedReads:
-    """Every read that used to take the row merge — the row engine's
+    """Every read that used to take the row merge — the row executor's
     SELECT, LOOKUP, MERGE INTO and the OVERWRITE plan's rewrite — against
     the installed row merge: same rows, ledger and metrics after every
     statement."""
@@ -304,8 +303,9 @@ class TestReroutedReads:
            "'orc.stripe_rows' = '100')")
 
     def build(self, engine, sharded, row_reads):
-        session = HiveSession(profile=ClusterProfile.laptop(), engine=engine,
-                              batch_rows=64)
+        session = row_engine.use(
+            HiveSession(profile=ClusterProfile.laptop(), batch_rows=64),
+            engine)
         session.execute(self.DDL % ("SHARDED BY (k) INTO 4"
                                     if sharded else ""))
         handler = session.table("t").handler

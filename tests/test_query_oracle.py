@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterProfile
 from repro.hive import HiveSession
+from tests.oracle import row_engine
 
 COLUMNS = [("k", "int"), ("grp", "string"), ("v", "int"),
            ("w", "double")]
@@ -274,8 +275,8 @@ def _run_lookup_script(script, plan, engine):
     the returned transcript plus the (cache-counter-free) metric and
     ledger fingerprints let the caller assert cross-config identity.
     """
-    session = HiveSession(
-        profile=ClusterProfile.laptop(), engine=engine)
+    session = row_engine.use(
+        HiveSession(profile=ClusterProfile.laptop()), engine)
     session.execute(
         "CREATE TABLE t (k int, v int, PRIMARY KEY (k)) "
         "STORED AS dualtable TBLPROPERTIES "
@@ -354,8 +355,9 @@ def test_lookup_plan_differential_fuzz():
     """The seeded PK workload is invariant three ways at once:
 
     * SELECT results and final table identical across every
-      (plan, engine) combination;
-    * ledger and metric counters byte-identical across engines
+      (plan, engine) combination, where engine ``row`` is the reference
+      row executor (:mod:`tests.oracle.row_engine`);
+    * ledger and metric counters byte-identical across the executors
       *within* each plan (the totals necessarily differ *between*
       plans — skipping MapReduce is the feature);
     * per-statement oracle checks hold throughout (inside the runner).

@@ -18,11 +18,12 @@ from repro.advisor import WorkloadAdvisor, apply_findings
 from repro.server import Arrival, build_ledger_server
 from repro.shard import NUM_BUCKETS, ShardMap
 from repro.shard.identity import identity_fingerprint
+from tests.oracle import row_engine
 
 
 def make_session(shards, engine="row", rows=90, rows_per_file=10):
-    session = HiveSession(profile=ClusterProfile.laptop(),
-                          engine=engine)
+    session = row_engine.use(HiveSession(profile=ClusterProfile.laptop()),
+                             engine)
     session.execute(
         "CREATE TABLE t (k int, grp string, v int) PRIMARY KEY (k) "
         "STORED AS dualtable SHARDED BY (k) INTO %d "
@@ -38,7 +39,7 @@ def handler_of(session, name="t"):
 
 
 # ---------------------------------------------------------------------------
-# Shard-count identity: INTO 1/4/8 x both engines.
+# Shard-count identity: INTO 1/4/8 x the production and row executors.
 # ---------------------------------------------------------------------------
 IDENTITY_WORKLOAD = [
     "SELECT count(*), sum(v) FROM t",

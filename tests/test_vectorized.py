@@ -1,8 +1,9 @@
-"""The vectorized engine contract: wall clock only, nothing else.
+"""The vectorized executor contract: wall clock only, nothing else.
 
 Runs one mixed workload (DML, scans with LIKE/IN/CASE predicates,
 grouped aggregation, HAVING, ORDER BY ... LIMIT, outer joins, COMPACT)
-under the ``row`` and ``vectorized`` engines, demanding
+on the production (``vectorized``) executor and on the ``row``
+reference executor (:mod:`tests.oracle.row_engine`), demanding
 byte-identical result rows, simulated seconds, cost-ledger snapshots
 and metric counters (``cache.*`` excluded, the one documented
 exclusion).  Also covered here: UNION READ merge-stat parity between
@@ -18,9 +19,11 @@ from repro.core import encode_record_id
 from repro.hive import HiveSession
 from repro.hive import ast_nodes as ast
 from repro.hive import vexpr
+from repro.hive.executor import SelectExecutor
 from repro.vector import (DEFAULT_BATCH_ROWS, MAX_BATCH_ROWS,
                           MIN_BATCH_ROWS, ColumnBatch, batch_from_rows,
                           batches_from_rows, validate_batch_rows)
+from tests.oracle import row_engine
 
 LEFT_ROWS = [(i, None if i % 4 == 0 else i % 5, "l%d" % i)
              for i in range(24)]
@@ -56,8 +59,8 @@ WORKLOAD = [
 
 def run_workload(engine, batch_rows=None):
     """Run the workload; return everything that must be identical."""
-    session = HiveSession(profile=ClusterProfile.laptop(),
-                          engine=engine, batch_rows=batch_rows)
+    session = row_engine.use(HiveSession(profile=ClusterProfile.laptop(),
+                                         batch_rows=batch_rows), engine)
     session.execute(
         "CREATE TABLE t (k int, grp string, v int, w double) "
         "STORED AS dualtable "
@@ -122,7 +125,8 @@ UNIONREAD_COUNTERS = ("unionread.files", "unionread.rows",
 
 def unionread_scenario(engine, compacted=False):
     """Dualtable with update/delete deltas plus one trailing orphan."""
-    session = HiveSession(profile=ClusterProfile.laptop(), engine=engine)
+    session = row_engine.use(HiveSession(profile=ClusterProfile.laptop()),
+                             engine)
     session.execute(
         "CREATE TABLE t (k int, v int) STORED AS dualtable "
         "TBLPROPERTIES ('orc.rows_per_file' = '10', "
@@ -176,7 +180,8 @@ class TestUnionReadStatsParity:
 # Fallback shields.
 # ----------------------------------------------------------------------
 def small_session(engine):
-    session = HiveSession(profile=ClusterProfile.laptop(), engine=engine)
+    session = row_engine.use(HiveSession(profile=ClusterProfile.laptop()),
+                             engine)
     session.execute("CREATE TABLE t (k int, grp string, v int) "
                     "STORED AS orc "
                     "TBLPROPERTIES ('orc.rows_per_file' = '8')")
@@ -251,12 +256,17 @@ class TestBatchRowsKnob:
                               batch_rows=512)
         assert session.batch_rows == 512
 
-    def test_engine_knob(self):
+    def test_engine_knob(self, monkeypatch):
+        # The engine knob is gone: no constructor argument, no setter,
+        # and REPRO_ENGINE selects nothing.
+        for engine in ("row", "vectorized"):
+            with pytest.raises(TypeError):
+                HiveSession(profile=ClusterProfile.laptop(), engine=engine)
+        monkeypatch.setenv("REPRO_ENGINE", "row")
         session = HiveSession(profile=ClusterProfile.laptop())
         assert session.engine == "vectorized"
-        assert session.set_engine("ROW").engine == "row"
-        with pytest.raises(ValueError):
-            session.set_engine("turbo")
+        assert session.executor_class is SelectExecutor
+        assert not hasattr(session, "set_engine")
 
 
 # ----------------------------------------------------------------------
