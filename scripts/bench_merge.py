@@ -145,18 +145,27 @@ def build_wallclock_session(rows):
     return session
 
 
+#: back-to-back executions of each query per round; a query's sample
+#: is its mean wall time over one round's burst.
+BURST = 10
+
+
 def time_interleaved(session, queries, repeat):
     """Best-of-``repeat`` wall times, measured in interleaved rounds.
 
     ``queries`` is ``[(name, row_merge, sql), ...]``; ``row_merge`` names
     the table whose reads the reference row merge takes over for that
-    query, or None for the production overlay.  Each round times
-    every query once (GC paused), so slow drift in the host — CPU
-    frequency, container contention — hits all strategies alike instead
-    of biasing whichever block ran during the quiet stretch.  Returns
-    ``({name: result}, {name: best_wall})``; results come from the
-    warmup pass (caches + overlay build) and are identical to the timed
-    passes by the determinism contract.
+    query, or None for the production overlay.  Each round (GC paused)
+    runs the queries in turn :data:`BURST` times, rotating which one goes
+    first, and a query's sample is its mean wall time over the round.
+    The host's speed drifts in plateaus of a few hundred milliseconds,
+    and one ~10 ms execution can land in a fast plateau the other
+    queries never sample; averaging over a round spent alternating puts
+    every query through the same plateaus, and the rotation keeps any
+    query from always following the same neighbour.
+    Returns ``({name: result}, {name: best_wall})``; results come from
+    the warmup pass (caches + overlay build) and are identical to the
+    timed passes by the determinism contract.
     """
     results = {}
     best = {}
@@ -170,18 +179,25 @@ def time_interleaved(session, queries, repeat):
         with merge(row_merge):
             results[name] = session.execute(sql)
         best[name] = float("inf")
-    for _ in range(repeat):
-        for name, row_merge, sql in queries:
-            with merge(row_merge):
-                gc.collect()
-                gc.disable()
-                try:
-                    started = time.perf_counter()
-                    session.execute(sql)
-                    best[name] = min(best[name],
-                                     time.perf_counter() - started)
-                finally:
-                    gc.enable()
+    for round_no in range(repeat):
+        spent = dict.fromkeys(best, 0.0)
+        # The runner keeps every job's outputs; drop them so the heap
+        # stays the size of the tables however many rounds run.
+        del session.runner.history[:]
+        gc.collect()
+        gc.disable()
+        try:
+            for rep in range(BURST):
+                shift = (round_no + rep) % len(queries)
+                for name, row_merge, sql in queries[shift:] + queries[:shift]:
+                    with merge(row_merge):
+                        started = time.perf_counter()
+                        session.execute(sql)
+                        spent[name] += time.perf_counter() - started
+        finally:
+            gc.enable()
+        for name in best:
+            best[name] = min(best[name], spent[name] / BURST)
     return results, best
 
 
@@ -229,7 +245,7 @@ def wallclock_phase(args, failures):
             failures.append(
                 "overlay merge is only %.2fx faster than the row merge "
                 "(gate %.2fx)" % (merge_speedup, args.min_speedup))
-    return {"rows": args.rows, "repeat": args.repeat,
+    return {"rows": args.rows, "repeat": args.repeat, "burst": BURST,
             "clean_wall_s": round(clean_wall, 6),
             "overlay_wall_s": round(overlay_wall, 6),
             "row_wall_s": round(row_wall, 6),
@@ -246,13 +262,12 @@ def main(argv=None):
         description="Delta-merge accelerator identity / wall-clock "
                     "benchmark")
     parser.add_argument("--quick", action="store_true",
-                        help="small data + fewer repeats (CI smoke)")
+                        help="small data (CI smoke)")
     parser.add_argument("--rows", type=int, default=None,
                         help="wall-clock table rows (default 48000; "
                              "quick 24000)")
-    parser.add_argument("--repeat", type=int, default=None,
-                        help="timed rounds, best-of per query (default 9; "
-                             "quick 7)")
+    parser.add_argument("--repeat", type=int, default=9,
+                        help="timed rounds, best-of per query")
     parser.add_argument("--identity-rows", type=int, default=240)
     parser.add_argument("--max-dirty-ratio", type=float, default=1.10,
                         help="gate: overlay dirty scan vs clean fast "
@@ -264,7 +279,6 @@ def main(argv=None):
     parser.add_argument("--out", default="BENCH_merge.json")
     args = parser.parse_args(argv)
     args.rows = args.rows or (24_000 if args.quick else 48_000)
-    args.repeat = args.repeat or (7 if args.quick else 9)
 
     failures = []
     report = {

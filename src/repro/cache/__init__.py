@@ -15,7 +15,7 @@ See docs/INTERNALS.md §6 for the replay argument and the cache
 invalidation rules.
 """
 
-from repro.parallel.cache import ByteBudgetLRU
-from repro.parallel.recorder import TaskRecorder
+from repro.cache.cache import ByteBudgetLRU
+from repro.cache.recorder import TaskRecorder
 
 __all__ = ["ByteBudgetLRU", "TaskRecorder"]

@@ -8,7 +8,7 @@ stored.
 
 Cache *contents* never influence simulated time — hits replay the same
 charges a miss records (callers enforce this; see
-:mod:`repro.parallel`) — so the only observable difference a cache makes
+:mod:`repro.cache`) — so the only observable difference a cache makes
 is wall-clock speed plus the ``cache.<name>.*`` counters, which are
 explicitly excluded from determinism comparisons (they depend on cache
 budgets and on what earlier reads left behind).

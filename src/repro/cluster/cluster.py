@@ -26,7 +26,7 @@ from repro.cluster.clock import SimClock
 from repro.cluster.ledger import Charge, MetricsLedger
 from repro.cluster.profile import ClusterProfile
 from repro.faults import FaultInjector
-from repro.parallel import ByteBudgetLRU, TaskRecorder
+from repro.cache import ByteBudgetLRU, TaskRecorder
 from repro import obs
 
 
@@ -49,7 +49,7 @@ class Cluster:
         self.faults.on_fire = self._record_fault
         #: capture stack: while a TaskRecorder is pushed, charges and
         #: metric events are buffered instead of applied (see
-        #: repro.parallel).
+        #: repro.cache).
         self._capture = []
         self.metrics.bind_capture(self._capture)
         #: wall-clock caches; contents never change simulated charges
@@ -88,7 +88,7 @@ class Cluster:
 
         Captures nest; replaying a recorder while an outer capture is
         active bubbles its contents into the outer recorder (see
-        :mod:`repro.parallel.recorder`).
+        :mod:`repro.cache.recorder`).
         """
         recorder = TaskRecorder()
         self._capture.append(recorder)

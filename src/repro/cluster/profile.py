@@ -71,7 +71,7 @@ class ClusterProfile:
     # cluster's parallelism lives in the slot model above).  Kept as a
     # field so recorded run configurations stay readable.
     workers: int = 1
-    # Byte budgets of the wall-clock caches (repro.parallel).  Cache
+    # Byte budgets of the wall-clock caches (repro.cache).  Cache
     # state never changes a simulated quantity (docs/INTERNALS.md §6).
     orc_cache_bytes: int = 64 * MB
     delta_cache_bytes: int = 16 * MB

@@ -258,10 +258,6 @@ class DualTableHandler(StorageHandler):
             sum(split.size_bytes for split in splits))
         return splits
 
-    def read_split(self, split, ctx):
-        for batch in self.read_split_batches(split, ctx):
-            yield from batch.rows()
-
     def _prepare_union_read(self, file_id, reader, stripe_filter):
         """Per-file merge setup: the file's memoized
         :class:`~repro.core.union_read.DeltaOverlay`.
@@ -610,8 +606,8 @@ class DualTableHandler(StorageHandler):
         self._claim_txn_access(session, plan)
         if plan == "overwrite":
             info = session.metastore.table(self.table.name)
-            result = session.update_via_overwrite(info, stmt,
-                                                  extra_detail=detail)
+            result = session.dml_via_overwrite(info, stmt,
+                                               extra_detail=detail)
         else:
             result = self._edit_plan(session, stmt, detail, "update")
         self._audit_cost_model(choice, plan, result)
@@ -638,8 +634,8 @@ class DualTableHandler(StorageHandler):
         self._claim_txn_access(session, plan)
         if plan == "overwrite":
             info = session.metastore.table(self.table.name)
-            result = session.delete_via_overwrite(info, stmt,
-                                                  extra_detail=detail)
+            result = session.dml_via_overwrite(info, stmt,
+                                               extra_detail=detail)
         else:
             result = self._edit_plan(session, stmt, detail, "delete")
         self._audit_cost_model(choice, plan, result)

@@ -117,10 +117,11 @@ def _mark_existing_keys(session, info, target_alias, target_keys,
     splits = handler.scan_splits(projection)
 
     def map_fn(split, ctx):
-        for values in handler.read_split(split, ctx):
-            key = tuple(fn(values) for fn in key_fns)
-            if key in source_index:
-                matched_keys.add(key)
+        for batch in handler.read_split_batches(split, ctx):
+            for values in batch.rows():
+                key = tuple(fn(values) for fn in key_fns)
+                if key in source_index:
+                    matched_keys.add(key)
         return ()
 
     result = session.runner.run(Job(name="merge-probe", splits=splits,
@@ -231,19 +232,20 @@ def _merge_overwrite(session, info, stmt, target_alias, target_keys,
     splits = handler.scan_splits(projection=None, ranges=None)
 
     def map_fn(split, ctx):
-        for values in handler.read_split(split, ctx):
-            key = tuple(fn(values) for fn in key_fns)
-            source_row = source_index.get(key)
-            if source_row is None:
-                yield values
-                continue
-            matched_keys.add(key)
-            ctx.incr("updated")
-            combined = values + source_row
-            row = list(values)
-            for idx, fn in assigns:
-                row[idx] = fn(combined)
-            yield tuple(row)
+        for batch in handler.read_split_batches(split, ctx):
+            for values in batch.rows():
+                key = tuple(fn(values) for fn in key_fns)
+                source_row = source_index.get(key)
+                if source_row is None:
+                    yield values
+                    continue
+                matched_keys.add(key)
+                ctx.incr("updated")
+                combined = values + source_row
+                row = list(values)
+                for idx, fn in assigns:
+                    row[idx] = fn(combined)
+                yield tuple(row)
 
     job = Job(name="merge-overwrite", splits=splits, map_fn=map_fn,
               reduce_fn=None)
@@ -262,7 +264,7 @@ def _merge_overwrite(session, info, stmt, target_alias, target_keys,
 
 def _merge_hbase(session, info, stmt, target_alias, target_keys,
                  source_index, matched_keys, source_env):
-    from repro.hive.session import QueryResult, _hbase_rows_with_keys
+    from repro.hive.session import QueryResult
 
     handler = info.handler
     key_fns, assigns = _compiled_parts(info, stmt, target_alias,
@@ -271,9 +273,7 @@ def _merge_hbase(session, info, stmt, target_alias, target_keys,
 
     def map_fn(split, ctx):
         pending = []
-        for rowkey, values in _hbase_rows_with_keys(handler,
-                                                    dict(split.payload),
-                                                    ctx):
+        for rowkey, values in handler.read_split_with_keys(split, ctx):
             key = tuple(fn(values) for fn in key_fns)
             source_row = source_index.get(key)
             if source_row is None:

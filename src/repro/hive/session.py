@@ -196,10 +196,8 @@ class HiveSession:
             return self._select(stmt)
         if isinstance(stmt, ast.InsertStmt):
             return self._insert(stmt)
-        if isinstance(stmt, ast.UpdateStmt):
-            return self._update(stmt)
-        if isinstance(stmt, ast.DeleteStmt):
-            return self._delete(stmt)
+        if isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
+            return self._dml(stmt)
         if isinstance(stmt, ast.MergeStmt):
             from repro.hive.merge import execute_merge
             self._dml_subquery_jobs = []
@@ -557,25 +555,16 @@ class HiveSession:
     # ------------------------------------------------------------------
     # UPDATE / DELETE dispatch.
     # ------------------------------------------------------------------
-    def _update(self, stmt):
+    def _dml(self, stmt):
         info = self.metastore.table(stmt.table)
         stmt = self._resolve_dml_subqueries(stmt)
         handler = info.handler
-        if hasattr(handler, "execute_update"):
-            return handler.execute_update(self, stmt)
+        execute = getattr(handler, "execute_" + _dml_verb(stmt), None)
+        if execute is not None:
+            return execute(self, stmt)
         if handler.supports_inplace_mutation:
-            return self._update_hbase(info, stmt)
-        return self.update_via_overwrite(info, stmt)
-
-    def _delete(self, stmt):
-        info = self.metastore.table(stmt.table)
-        stmt = self._resolve_dml_subqueries(stmt)
-        handler = info.handler
-        if hasattr(handler, "execute_delete"):
-            return handler.execute_delete(self, stmt)
-        if handler.supports_inplace_mutation:
-            return self._delete_hbase(info, stmt)
-        return self.delete_via_overwrite(info, stmt)
+            return self._hbase_dml(info, stmt)
+        return self.dml_via_overwrite(info, stmt)
 
     def _resolve_dml_subqueries(self, stmt):
         """Materialize scalar/IN subqueries in SET and WHERE clauses."""
@@ -592,11 +581,6 @@ class HiveSession:
         stmt.where = rewrite(stmt.where)
         self._dml_subquery_jobs = executor.jobs
         return stmt
-
-    def _dml_env(self, info, alias):
-        env = Env()
-        env.add_schema(info.schema.names, alias=alias)
-        return env
 
     # -- Hive(HDFS) baseline: full INSERT OVERWRITE --------------------
     def _overwrite_scope(self, handler, where):
@@ -615,31 +599,44 @@ class HiveSession:
         return partition_ranges, handler.affected_partitions(
             partition_ranges)
 
-    def update_via_overwrite(self, info, stmt, extra_detail=None):
-        """Listing-2 lowering: rewrite every row of the table."""
-        handler = info.handler
-        env = self._dml_env(info, stmt.alias)
+    def _compile_dml(self, info, stmt):
+        """(WHERE predicate or None, SET assignments) over full rows;
+        a DELETE has no assignments."""
+        env = Env()
+        env.add_schema(info.schema.names, alias=stmt.alias)
         predicate = (compile_expr(stmt.where, env)
                      if stmt.where is not None else None)
         assigns = [(info.schema.index_of(name), compile_expr(expr, env))
-                   for name, expr in stmt.assignments]
+                   for name, expr in getattr(stmt, "assignments", ())]
+        return predicate, assigns
+
+    def dml_via_overwrite(self, info, stmt, extra_detail=None):
+        """Listing-2 lowering of UPDATE/DELETE: rewrite the overwrite
+        scope, updating (or dropping) matched rows and copying the rest
+        unchanged."""
+        verb = _dml_verb(stmt)
+        handler = info.handler
+        predicate, assigns = self._compile_dml(info, stmt)
+        counter = verb + "d"    # "updated" / "deleted"
         # INSERT OVERWRITE reads *all* columns; only partition-level
         # pruning is possible (every surviving row must be rewritten).
         scan_ranges, affected = self._overwrite_scope(handler, stmt.where)
         splits = handler.scan_splits(projection=None, ranges=scan_ranges)
 
         def map_fn(split, ctx):
-            for values in handler.read_split(split, ctx):
-                if predicate is None or is_true(predicate(values)):
-                    ctx.incr("updated")
-                    row = list(values)
-                    for idx, fn in assigns:
-                        row[idx] = fn(values)
-                    yield tuple(row)
-                else:
-                    yield values
+            for batch in handler.read_split_batches(split, ctx):
+                for values in batch.rows():
+                    if predicate is None or is_true(predicate(values)):
+                        ctx.incr(counter)
+                        if verb == "update":
+                            row = list(values)
+                            for idx, fn in assigns:
+                                row[idx] = fn(values)
+                            yield tuple(row)
+                    else:
+                        yield values
 
-        job = Job(name="update-overwrite", splits=splits, map_fn=map_fn,
+        job = Job(name=verb + "-overwrite", splits=splits, map_fn=map_fn,
                   reduce_fn=None,
                   properties={"shard_fanout":
                               getattr(handler, "shard_fanout", 1)})
@@ -657,104 +654,42 @@ class HiveSession:
         detail.update(extra_detail or {})
         return QueryResult(
             sim_seconds=sub_seconds + result.sim_seconds + write_seconds,
-            jobs=jobs, affected=result.counters.get("updated", 0),
-            plan="update-overwrite", detail=detail)
-
-    def delete_via_overwrite(self, info, stmt, extra_detail=None):
-        handler = info.handler
-        env = self._dml_env(info, stmt.alias)
-        predicate = (compile_expr(stmt.where, env)
-                     if stmt.where is not None else None)
-        scan_ranges, affected = self._overwrite_scope(handler, stmt.where)
-        splits = handler.scan_splits(projection=None, ranges=scan_ranges)
-
-        def map_fn(split, ctx):
-            for values in handler.read_split(split, ctx):
-                if predicate is None or is_true(predicate(values)):
-                    ctx.incr("deleted")
-                else:
-                    yield values
-
-        job = Job(name="delete-overwrite", splits=splits, map_fn=map_fn,
-                  reduce_fn=None,
-                  properties={"shard_fanout":
-                              getattr(handler, "shard_fanout", 1)})
-        result = self.runner.run(job)
-        rows = [info.schema.coerce_row(r) for r in result.outputs]
-        if affected is not None:
-            write_seconds = self._charged_parallel(
-                lambda: handler.replace_partitions(rows, affected))
-        else:
-            write_seconds = self._charged_parallel(
-                lambda: handler.insert_rows(rows, overwrite=True))
-        jobs = self._dml_subquery_jobs + [result]
-        sub_seconds = sum(j.sim_seconds for j in self._dml_subquery_jobs)
-        detail = {"plan": "overwrite", "rows_written": len(rows)}
-        detail.update(extra_detail or {})
-        return QueryResult(
-            sim_seconds=sub_seconds + result.sim_seconds + write_seconds,
-            jobs=jobs, affected=result.counters.get("deleted", 0),
-            plan="delete-overwrite", detail=detail)
+            jobs=jobs, affected=result.counters.get(counter, 0),
+            plan=verb + "-overwrite", detail=detail)
 
     # -- Hive(HBase) baseline: in-place random writes ------------------
-    def _update_hbase(self, info, stmt):
+    def _hbase_dml(self, info, stmt):
+        """Scan for the matching rowkeys, then put the SET cells
+        (UPDATE) or delete the rows (DELETE) in place."""
+        verb = _dml_verb(stmt)
         handler = info.handler
-        env = self._dml_env(info, stmt.alias)
-        predicate = (compile_expr(stmt.where, env)
-                     if stmt.where is not None else None)
-        assigns = [(info.schema.index_of(name), compile_expr(expr, env))
-                   for name, expr in stmt.assignments]
+        predicate, assigns = self._compile_dml(info, stmt)
+        counter = verb + "d"    # "updated" / "deleted"
         splits = handler.scan_splits(projection=None)
 
         def map_fn(split, ctx):
-            inner = dict(split.payload)
             matched = []
-            for rowkey, values in _hbase_rows_with_keys(handler, inner, ctx):
+            for rowkey, values in handler.read_split_with_keys(split, ctx):
                 if predicate is None or is_true(predicate(values)):
                     matched.append(
                         (rowkey, {idx: fn(values) for idx, fn in assigns}))
             for rowkey, new_values in matched:
-                ctx.incr("updated")
-                handler.update_row(rowkey, new_values)
+                ctx.incr(counter)
+                if verb == "update":
+                    handler.update_row(rowkey, new_values)
+                else:
+                    handler.delete_row(rowkey)
             return ()
 
-        job = Job(name="update-hbase", splits=splits, map_fn=map_fn,
+        job = Job(name=verb + "-hbase", splits=splits, map_fn=map_fn,
                   reduce_fn=None)
         result = self.runner.run(job)
         jobs = self._dml_subquery_jobs + [result]
         sub_seconds = sum(j.sim_seconds for j in self._dml_subquery_jobs)
         return QueryResult(sim_seconds=sub_seconds + result.sim_seconds,
                            jobs=jobs,
-                           affected=result.counters.get("updated", 0),
-                           plan="update-hbase", detail={"plan": "hbase"})
-
-    def _delete_hbase(self, info, stmt):
-        handler = info.handler
-        env = self._dml_env(info, stmt.alias)
-        predicate = (compile_expr(stmt.where, env)
-                     if stmt.where is not None else None)
-        splits = handler.scan_splits(projection=None)
-
-        def map_fn(split, ctx):
-            inner = dict(split.payload)
-            doomed = []
-            for rowkey, values in _hbase_rows_with_keys(handler, inner, ctx):
-                if predicate is None or is_true(predicate(values)):
-                    doomed.append(rowkey)
-            for rowkey in doomed:
-                ctx.incr("deleted")
-                handler.delete_row(rowkey)
-            return ()
-
-        job = Job(name="delete-hbase", splits=splits, map_fn=map_fn,
-                  reduce_fn=None)
-        result = self.runner.run(job)
-        jobs = self._dml_subquery_jobs + [result]
-        sub_seconds = sum(j.sim_seconds for j in self._dml_subquery_jobs)
-        return QueryResult(sim_seconds=sub_seconds + result.sim_seconds,
-                           jobs=jobs,
-                           affected=result.counters.get("deleted", 0),
-                           plan="delete-hbase", detail={"plan": "hbase"})
+                           affected=result.counters.get(counter, 0),
+                           plan=verb + "-hbase", detail={"plan": "hbase"})
 
     # ------------------------------------------------------------------
     # COMPACT.
@@ -826,13 +761,5 @@ class HiveSession:
                 + scope.hbase_seconds)
 
 
-def _hbase_rows_with_keys(handler, payload, ctx):
-    """Scan one HBase split yielding (rowkey, full row tuple)."""
-    from repro.hive.storage.hbase_handler import _qualifier
-    from repro.hive.valuecodec import decode_value
-
-    quals = [_qualifier(i) for i in range(len(handler.schema))]
-    htable = handler._htable()
-    for rowkey, cells in htable.scan(payload["start"], payload["stop"]):
-        yield rowkey, tuple(
-            decode_value(cells[q]) if q in cells else None for q in quals)
+def _dml_verb(stmt):
+    return "update" if isinstance(stmt, ast.UpdateStmt) else "delete"

@@ -11,6 +11,7 @@ import struct
 from repro.mapreduce import InputSplit
 from repro.hive.storage.base import StorageHandler
 from repro.hive.valuecodec import decode_value, encode_value
+from repro.vector import batches_from_rows
 
 
 def _rowkey(row_id):
@@ -82,31 +83,31 @@ class HBaseTableHandler(StorageHandler):
                 label="%s[%d]" % (self.hbase_name, i)))
         return splits
 
-    def read_split(self, split, ctx):
+    def read_split_with_keys(self, split, ctx):
+        """Scan one split: yields ``(rowkey, values)`` in rowkey order.
+
+        The one decoder of this handler's cell format; reads and the
+        in-place UPDATE/DELETE/MERGE plans (which need the rowkeys)
+        all scan through it.
+        """
         payload = split.payload
         projection = payload["projection"]
         if projection is None:
-            indices = list(range(len(self.schema)))
+            indices = range(len(self.schema))
         else:
             indices = [self.schema.index_of(name) for name in projection]
         quals = [_qualifier(i) for i in indices]
-        htable = self._htable()
-        for _, cells in htable.scan(payload["start"], payload["stop"]):
-            yield tuple(
-                decode_value(cells[q]) if q in cells else None
-                for q in quals)
-
-    def scan_with_rowkeys(self, projection=None):
-        """Like read, but yields (rowkey, tuple) — used for mutations."""
-        if projection is None:
-            indices = list(range(len(self.schema)))
-        else:
-            indices = [self.schema.index_of(name) for name in projection]
-        quals = [_qualifier(i) for i in indices]
-        for rowkey, cells in self._htable().scan():
+        for rowkey, cells in self._htable().scan(payload["start"],
+                                                 payload["stop"]):
             yield rowkey, tuple(
                 decode_value(cells[q]) if q in cells else None
                 for q in quals)
+
+    def read_split_batches(self, split, ctx, batch_rows=None):
+        projection = split.payload["projection"]
+        width = len(self.schema) if projection is None else len(projection)
+        rows = (values for _, values in self.read_split_with_keys(split, ctx))
+        return batches_from_rows(rows, width, batch_rows)
 
     # ------------------------------------------------------------------
     # Row mutation (what makes this handler update-friendly).

@@ -15,7 +15,7 @@ Thread safety: all uncaptured mutations take a registry-wide lock.  A
 bare ``defaultdict[name] += 1`` is a read-modify-write that loses
 updates under preemption, which showed up once the server admitted many
 sessions against one cluster.  Captured events go to the cluster's
-capture stack instead (see :mod:`repro.parallel.recorder`).
+capture stack instead (see :mod:`repro.cache.recorder`).
 """
 
 import math
@@ -161,7 +161,7 @@ class MetricsRegistry:
         self.histograms = {}
         self._lock = threading.Lock()
         #: optional capture stack shared with the owning cluster
-        #: (repro.parallel): while a recorder is pushed, events are
+        #: (repro.cache): while a recorder is pushed, events are
         #: buffered instead of applied so they can be replayed later.
         self._capture = None
 
@@ -210,7 +210,7 @@ class MetricsRegistry:
         """Apply captured ``(kind, name, value)`` events in order.
 
         Respects any active capture, so nested replays bubble out one
-        level at a time (see repro.parallel).
+        level at a time (see repro.cache).
         """
         buffer = self._capture_buffer()
         if buffer is not None:

@@ -11,7 +11,7 @@ The reader exposes the three ORC properties DualTable relies on:
   DualTable record ID.
 
 When the backing filesystem belongs to a cluster with an
-``orc_cache`` (see :mod:`repro.parallel.cache`), parsed footers and
+``orc_cache`` (see :mod:`repro.cache.cache`), parsed footers and
 decoded stripe columns are memoized under a content-derived key
 ``(path, file_len, crc32(bytes))``.  A hit skips the *real* CPU work
 (JSON parse, stream decode) but charges exactly the bytes a miss

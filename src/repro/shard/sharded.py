@@ -421,9 +421,6 @@ class ShardedDualTableHandler(DualTableHandler):
     def _split_child(self, split):
         return self.children[split.payload.get("shard", 0)]
 
-    def read_split(self, split, ctx):
-        return self._split_child(split).read_split(split, ctx)
-
     def read_split_with_rids(self, split, ctx):
         return self._split_child(split).read_split_with_rids(split, ctx)
 

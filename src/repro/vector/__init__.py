@@ -15,6 +15,8 @@ cache — treat every batch as immutable; filtering produces a new batch
 via :meth:`ColumnBatch.take`.
 """
 
+from itertools import islice
+
 #: Default rows per batch; also the MaterializedSource split chunk size
 #: (the two are deliberately one knob — see HiveSession.set_batch_rows).
 DEFAULT_BATCH_ROWS = 20_000
@@ -107,7 +109,13 @@ def batch_from_rows(rows, width):
     return ColumnBatch([list(col) for col in zip(*rows)], len(rows))
 
 
-def batches_from_rows(rows, width, batch_rows=DEFAULT_BATCH_ROWS):
-    """Chunk a row list into ColumnBatches of at most ``batch_rows``."""
-    for start in range(0, len(rows), batch_rows):
-        yield batch_from_rows(rows[start:start + batch_rows], width)
+def batches_from_rows(rows, width, batch_rows=None):
+    """Chunk row tuples (any iterable, consumed lazily) into
+    ColumnBatches of at most ``batch_rows`` (default
+    :data:`DEFAULT_BATCH_ROWS`)."""
+    rows = iter(rows)
+    while True:
+        chunk = list(islice(rows, batch_rows or DEFAULT_BATCH_ROWS))
+        if not chunk:
+            return
+        yield batch_from_rows(chunk, width)

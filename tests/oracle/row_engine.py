@@ -29,9 +29,10 @@ from repro.hive.expressions import compile_expr, is_true
 def make_reader(relation):
     """Row reader for one relation: ``read(split, ctx)`` yields tuples.
 
-    A table scan reads ``handler.read_split`` and applies the residual
-    filter per row; an intermediate relation charges its split as an
-    HDFS read, exactly as the batch reader does.
+    A table scan transposes the batches of ``handler.read_split_batches``
+    to row tuples and applies the residual filter per row; an
+    intermediate relation charges its split as an HDFS read, exactly as
+    the batch reader does.
     """
     if isinstance(relation, MaterializedSource):
         def read(split, ctx):
@@ -43,9 +44,10 @@ def make_reader(relation):
                  if relation.filter_expr is not None else None)
 
     def read(split, ctx):
-        for values in handler.read_split(split, ctx):
-            if predicate is None or is_true(predicate(values)):
-                yield values
+        for batch in handler.read_split_batches(split, ctx):
+            for values in batch.rows():
+                if predicate is None or is_true(predicate(values)):
+                    yield values
     return read
 
 

@@ -10,10 +10,11 @@ holds the handler read methods that used them, for the differential
 tests and for ``scripts/bench_merge.py``'s row-merge timing.
 
 :func:`install` swaps them into one handler instance (each child of a
-sharded handler): ``read_split`` and ``read_split_with_rids`` then merge
-row at a time, ``read_split_batches`` re-packs dirty batches row at a
-time, so SELECT (on either executor), LOOKUP, COMPACT and MERGE INTO all
-read through the row merge.  The EDIT plan's locate
+sharded handler): ``read_split_with_rids`` then merges row at a time
+(:func:`~repro.core.union_read.union_read_file`, which MERGE INTO's EDIT
+plan reaches) and ``read_split_batches`` re-packs dirty batches row at a
+time, so SELECT (on either executor), LOOKUP, COMPACT, MERGE INTO and
+the OVERWRITE plan all read through the row merge.  The EDIT plan's locate
 (:meth:`~repro.core.handler.DualTableHandler.locate_split`) stays on the
 overlay.  Charges and counters are the production ones: the per-file
 setup below is the handler's, except that it keeps the scanned delta
@@ -28,7 +29,7 @@ from repro.core.union_read import (classify_merge_units, union_read_batches,
 from repro.hive.pushdown import make_stripe_filter
 
 #: the handler read methods :func:`install` replaces.
-METHODS = ("read_split", "read_split_with_rids", "read_split_batches")
+METHODS = ("read_split_with_rids", "read_split_batches")
 
 
 def prepare(handler, file_id, reader, stripe_filter):
@@ -80,11 +81,6 @@ def read_split_with_rids(handler, split, ctx):
         handler._note_union_read(span, nrows, stats)
 
 
-def read_split(handler, split, ctx):
-    for _, values in read_split_with_rids(handler, split, ctx):
-        yield values
-
-
 def read_split_batches(handler, split, ctx, batch_rows=None):
     """UNION READ of one split with the row-fallback batch merge."""
     payload = split.payload
@@ -110,7 +106,7 @@ def _targets(handler):
 def install(handler):
     """Route one handler's reads (every shard's) through the row merge."""
     for target in _targets(handler):
-        for name, method in zip(METHODS, (read_split, read_split_with_rids,
+        for name, method in zip(METHODS, (read_split_with_rids,
                                           read_split_batches)):
             setattr(target, name, partial(method, target))
 

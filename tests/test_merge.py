@@ -14,13 +14,19 @@ def session():
     return HiveSession(profile=ClusterProfile.laptop())
 
 
-STORAGES = ["orc", "hbase", "dualtable", "acid"]
+STORAGES = ["orc", "orc-partitioned", "hbase", "dualtable", "acid"]
+
+#: storage -> the archive table's column list and storage clause.
+ARCHIVE_DDL = {
+    "orc-partitioned": "(dev_id int, model string) PARTITIONED BY "
+                       "(fw double) STORED AS orc",
+}
 
 
 def setup_tables(session, storage):
-    session.execute(
-        "CREATE TABLE archive (dev_id int, model string, fw double) "
-        "STORED AS %s" % storage)
+    session.execute("CREATE TABLE archive %s" % ARCHIVE_DDL.get(
+        storage, "(dev_id int, model string, fw double) STORED AS %s"
+        % storage))
     session.load_rows("archive", [(i, "m%d" % (i % 3), 1.0)
                                   for i in range(50)])
     session.execute(

@@ -1,10 +1,10 @@
-"""Unit tests for repro.parallel: capture/replay and the LRU cache."""
+"""Unit tests for repro.cache: capture/replay and the LRU cache."""
 
 import pytest
 
 from repro.cluster import Cluster, ClusterProfile
 from repro.obs import MetricsRegistry
-from repro.parallel import ByteBudgetLRU
+from repro.cache import ByteBudgetLRU
 
 
 def make_cluster():

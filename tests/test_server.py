@@ -18,7 +18,7 @@ from repro.hive import HiveSession
 from repro.hive.parser import parse
 from repro.hive import ast_nodes as ast
 from repro.obs.registry import MetricsRegistry
-from repro.parallel.cache import ByteBudgetLRU
+from repro.cache.cache import ByteBudgetLRU
 from repro.server import (Arrival, CommitLog, DualTableServer, StatementTxn,
                           build_ledger_server, ledger_arrivals,
                           ledger_totals, run_open_loop)

@@ -347,5 +347,6 @@ class TestColumnBatch:
                                                   batch_rows=3))
         assert all(b.length <= 3 for b in batches)
         rows = [values for b in batches for values in b.rows()]
-        expect = [values for values in handler.read_split(split, None)]
+        expect = [values for b in handler.read_split_batches(split, None)
+                  for values in b.rows()]
         assert rows == expect
